@@ -12,6 +12,7 @@ import zlib
 
 import numpy as np
 
+from .errors import ParameterError
 from .index import cz_degree_sp2, cz_rs, cz_winding, maslov_loop
 from .splin import (
     SymmetricFamily,
@@ -182,6 +183,8 @@ AXIOMS = {
 
 def run_axiom_suite(seed: int, count: int, axioms=None, cz=cz_rs) -> dict:
     """Run ``count`` seeded trials of each axiom; returns a report dict."""
+    if count < 0:
+        raise ParameterError("trial count must be non-negative, got %d" % count)
     names = list(AXIOMS) if axioms is None else list(axioms)
     report = {"seed": seed, "count": count, "axioms": {}}
     for name in names:

@@ -303,7 +303,8 @@ def cascade_complex(D: MorseBottData) -> tuple[ChainComplex, bool]:
     of their component; actions are inherited.  The lacunary flag is set
     when no admissible pair (strict action drop across components, or any
     pair within a component with a nonzero supplied Morse count) has
-    mu-difference 1 -- the boundary is then forced to vanish.
+    mu-difference 1 -- the boundary is then forced to vanish.  Data that
+    is not lacunary and supplies no counts raises UnsupportedError.
     """
     gens: list[Generator] = []
     comp_of: dict[str, BottComponent] = {}
@@ -353,6 +354,11 @@ def cascade_complex(D: MorseBottData) -> tuple[ChainComplex, bool]:
                     lacunary = False
     if lacunary:
         C.boundary[:] = 0
+    elif not D.cascades and not D.intra:
+        raise UnsupportedError(
+            "data is not lacunary and no cascade counts were supplied: "
+            "the boundary cannot be computed"
+        )
     return C.validate(), lacunary
 
 

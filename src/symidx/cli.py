@@ -21,7 +21,7 @@ from . import io as sio
 from .axioms import run_axiom_suite
 from .chain import cascade_complex, cohomology, homology, rfh_unit_sphere
 from .chern import c1_from_clutching
-from .errors import FileFormatError, SymidxError
+from .errors import FileFormatError, ParameterError, SymidxError
 from .hamdyn import (
     find_periodic_orbit,
     integrate,
@@ -121,6 +121,8 @@ def _parse_z(text: str) -> np.ndarray:
 
 
 def _cmd_dyn(args):
+    if args.input is None:
+        raise ParameterError("dyn %s needs --input" % args.action)
     sys_ = sio.load_system(args.input)
     if args.action == "integrate":
         traj = integrate(sys_, _parse_z(args.z0), args.T, args.dt)
@@ -323,7 +325,7 @@ def main(argv=None) -> int:
         code = 1
 
     if args.format == "structured":
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         text = _render_human(doc) + "\n"
 

@@ -390,6 +390,8 @@ def twist_fixed_points(map_fn, r_range: tuple[float, float],
     caller can check the twist condition, and flags an apparent curve of
     fixed points when they are dense along the angle.
     """
+    if grid < 1:
+        raise ParameterError("twist grid must be at least 1, got %d" % grid)
     a, b = r_range
 
     def F(p):

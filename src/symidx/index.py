@@ -390,8 +390,13 @@ def _windings_all_s(P: SymplecticPath, s_samples: int,
     for _ in range(8):
         ts = np.linspace(0.0, 1.0, m)
         mats = np.stack([P.at(t) for t in ts])  # (m, 2, 2)
-        vecs = np.einsum("tij,sj->tsi", mats, v0)
-        ang = np.arctan2(vecs[..., 1], vecs[..., 0])
+        # Psi(t) v_s for every (t, s), written out so that the two products
+        # are summed in a fixed order (a matmul may reorder them)
+        x = mats[:, 0, 0, None] * v0[:, 0]
+        x += mats[:, 0, 1, None] * v0[:, 1]
+        y = mats[:, 1, 0, None] * v0[:, 0]
+        y += mats[:, 1, 1, None] * v0[:, 1]
+        ang = np.arctan2(y, x)
         jumps = np.angle(np.exp(1j * np.diff(ang, axis=0)))
         if np.max(np.abs(jumps)) < 0.5 * np.pi:
             return np.sum(jumps, axis=0) / (2.0 * np.pi)
@@ -635,13 +640,19 @@ def truncated_loop_operator(S_slice: SymmetricFamily, cutoff: int,
     if grid is None:
         grid = max(256, 8 * cutoff)
     B = _fourier_basis(cutoff, grid)
-    Svals = np.stack([S_slice.at(t) for t in np.arange(grid) / grid])
-    G = _derivative_pairing(cutoff)
-    term1 = -np.kron(G, J)
-    term2 = -np.einsum("ma,mb,mij->aibj", B, B, Svals).reshape(
-        B.shape[1] * dim, B.shape[1] * dim
-    ) / grid
-    M = term1 + term2
+    Svals = S_slice.at_many(np.arange(grid) / grid)
+    M = -np.kron(_derivative_pairing(cutoff), J)
+    # rows a*dim + i, columns b*dim + j: the (i, j) block of the S term is
+    # the Gram matrix of the basis weighted by S_ij, one BLAS product per
+    # block; the lower blocks mirror the upper ones, as the symmetrized
+    # operator sees only the symmetric part of S
+    for i in range(dim):
+        for j in range(i, dim):
+            s = 0.5 * (Svals[:, i, j] + Svals[:, j, i])
+            block = B.T @ (B * s[:, None]) / grid
+            M[i::dim, j::dim] -= block
+            if j != i:
+                M[j::dim, i::dim] -= block
     return 0.5 * (M + M.T)
 
 

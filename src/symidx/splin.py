@@ -496,11 +496,21 @@ class SymmetricFamily:
     def at(self, t: float) -> np.ndarray:
         if self.matrix_at is not None:
             return np.asarray(self.matrix_at(float(t)), dtype=float)
-        t = float(np.clip(t, self.ts[0], self.ts[-1]))
-        k = int(np.searchsorted(self.ts, t, side="right")) - 1
-        k = min(max(k, 0), len(self.ts) - 2)
+        return self.at_many([t])[0]
+
+    def at_many(self, ts) -> np.ndarray:
+        """Evaluate at every parameter of ``ts``; returns shape (m, dim, dim).
+
+        Without an exact evaluator the samples are interpolated linearly,
+        the same formula for every t, so row k equals ``at(ts[k])``.
+        """
+        if self.matrix_at is not None:
+            return np.stack([np.asarray(self.matrix_at(float(t)), dtype=float) for t in ts])
+        t = np.clip(np.asarray(ts, dtype=float), self.ts[0], self.ts[-1])
+        k = np.searchsorted(self.ts, t, side="right") - 1
+        k = np.minimum(np.maximum(k, 0), len(self.ts) - 2)
         t0, t1 = self.ts[k], self.ts[k + 1]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+        w = np.divide(t - t0, t1 - t0, out=np.zeros_like(t), where=t1 != t0)[:, None, None]
         return (1.0 - w) * self.mats[k] + w * self.mats[k + 1]
 
 
@@ -531,7 +541,11 @@ class SymmetricFamily2:
         w = 0.0 if s1 == s0 else (s - s0) / (s1 - s0)
         a, b = self.slices[k], self.slices[k + 1]
         ts = np.union1d(a.ts, b.ts)
-        mats = np.stack([(1.0 - w) * a.at(t) + w * b.at(t) for t in ts])
+        if w == 0.0 or w == 1.0:
+            # a zero-weight slice adds only signed zeros: skip evaluating it
+            mats = (b if w else a).at_many(ts)
+        else:
+            mats = (1.0 - w) * a.at_many(ts) + w * b.at_many(ts)
         return SymmetricFamily(ts, mats, max(a.tol, b.tol))
 
 

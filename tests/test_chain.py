@@ -187,6 +187,12 @@ class TestCascade:
         C, lacunary = cascade_complex(data)
         assert not lacunary
 
+    def test_non_lacunary_without_counts_unsupported(self):
+        # mu gap 1 across a strict action drop, but no counts supplied
+        data = self._two_towers(2, [])
+        with pytest.raises(UnsupportedError):
+            cascade_complex(data)
+
     def test_intra_entry_across_components_rejected(self):
         data = self._two_towers(2, [])
         data.intra = [("q", "p")]

@@ -185,6 +185,33 @@ class TestDynCommand:
         assert not doc["result"]["is_curve"]
 
 
+    def test_twist_grid_below_one_is_parameter_error(self, capsys):
+        code, out = run(capsys, ["dyn", "twist", "--grid", "0"])
+        assert code == 1
+        assert "NaN" not in out
+        assert json.loads(out)["error"]["error"] == "parameter"
+
+    def test_integrate_without_input_is_domain_error(self, capsys):
+        code, out = run(capsys, ["dyn", "integrate", "--T", "1"])
+        assert code == 1
+        assert json.loads(out)["error"]["error"] == "parameter"
+
+    def test_non_finite_result_is_never_printed(self, capsys, monkeypatch):
+        import symidx.cli as cli
+
+        monkeypatch.setattr(cli, "_cmd_twist", lambda args: {"rotation_lower": float("nan")})
+        with pytest.raises(ValueError):
+            main(["dyn", "twist"])
+        assert capsys.readouterr().out == ""
+
+
+class TestAxiomsCommand:
+    def test_negative_count_is_parameter_error(self, capsys):
+        code, out = run(capsys, ["axioms", "--count", "-1"])
+        assert code == 1
+        assert json.loads(out)["error"]["error"] == "parameter"
+
+
 class TestDemo:
     def test_unit_sphere(self, capsys):
         code, out = run(capsys, ["demo", "unit-sphere", "--n", "4",

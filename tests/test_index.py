@@ -24,8 +24,10 @@ from symidx.index import (
     maslov_loop,
     rs_index,
     spectral_flow_matrix,
+    truncated_loop_operator,
     winding_interval,
 )
+from symidx import index
 from symidx.splin import (
     SymmetricFamily,
     SymmetricFamily2,
@@ -35,6 +37,7 @@ from symidx.splin import (
     path_from_symmetric,
     random_symmetric_family,
     rotation_path,
+    standard_j,
 )
 
 
@@ -291,6 +294,59 @@ class TestLoopOperatorSF:
                 continue
             assert got == expect
             done += 1
+
+
+def einsum_loop_operator(S_slice, cutoff, grid=None):
+    """Reference assembly: the whole S term as one three-operand einsum."""
+    dim = S_slice.dim
+    if grid is None:
+        grid = max(256, 8 * cutoff)
+    B = index._fourier_basis(cutoff, grid)
+    Svals = np.stack([S_slice.at(t) for t in np.arange(grid) / grid])
+    term1 = -np.kron(index._derivative_pairing(cutoff), standard_j(dim // 2))
+    term2 = -np.einsum("ma,mb,mij->aibj", B, B, Svals).reshape(
+        B.shape[1] * dim, B.shape[1] * dim) / grid
+    M = term1 + term2
+    return 0.5 * (M + M.T)
+
+
+class TestTruncatedLoopOperator:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("cutoff", [2, 5])
+    def test_matches_einsum_reference(self, n, cutoff):
+        fam = random_symmetric_family(n, np.random.default_rng([n, cutoff]), samples=33)
+        # a sampled family that is symmetric only to 1e-9, as loaded files are
+        noise = 1e-9 * np.random.default_rng(3).normal(size=fam.mats.shape)
+        sampled = SymmetricFamily(fam.ts, fam.mats + noise)
+        for F in (fam, sampled):
+            for grid in (None, 37):
+                got = truncated_loop_operator(F, cutoff, grid)
+                ref = einsum_loop_operator(F, cutoff, grid)
+                assert got.shape == ref.shape == ((2 * cutoff + 1) * 2 * n,) * 2
+                assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+def einsum_windings(P, s_samples, t_samples=513):
+    """Reference winding fan: Psi(t) v_s through one einsum per time grid."""
+    ss = np.linspace(0.0, 0.5, s_samples, endpoint=False)
+    v0 = np.column_stack([np.cos(2 * np.pi * ss), np.sin(2 * np.pi * ss)])
+    m = max(t_samples, len(P.ts))
+    while True:
+        ts = np.linspace(0.0, 1.0, m)
+        vecs = np.einsum("tij,sj->tsi", np.stack([P.at(t) for t in ts]), v0)
+        ang = np.arctan2(vecs[..., 1], vecs[..., 0])
+        jumps = np.angle(np.exp(1j * np.diff(ang, axis=0)))
+        if np.max(np.abs(jumps)) < 0.5 * np.pi:
+            return np.sum(jumps, axis=0) / (2.0 * np.pi)
+        m = 2 * m - 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_winding_fan_matches_einsum_bit_for_bit(seed):
+    rng = np.random.default_rng([seed, 4])
+    P = random_admissible_path(rng, 1, 0.8 + 0.8 * seed)
+    got = index._windings_all_s(P, 256)
+    assert got.tobytes() == einsum_windings(P, 256).tobytes()
 
 
 # ---------------------------------------------------------------------------

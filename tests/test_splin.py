@@ -10,6 +10,7 @@ from symidx.errors import (
 )
 from symidx.splin import (
     SymmetricFamily,
+    SymmetricFamily2,
     SymplecticMatrix,
     SymplecticPath,
     classify_eigenvalues,
@@ -214,6 +215,54 @@ class TestRecoverSymmetric:
         P = constant_path(np.eye(2), samples=2)
         with pytest.raises(InvalidPathError):
             recover_symmetric(P)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def scalar_interpolation(fam, t):
+    """Reference: linear interpolation of the samples at one parameter."""
+    t = float(np.clip(t, fam.ts[0], fam.ts[-1]))
+    k = int(np.searchsorted(fam.ts, t, side="right")) - 1
+    k = min(max(k, 0), len(fam.ts) - 2)
+    t0, t1 = fam.ts[k], fam.ts[k + 1]
+    w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+    return (1.0 - w) * fam.mats[k] + w * fam.mats[k + 1]
+
+
+class TestSymmetricFamilyAtMany:
+    # grid points, interior points, the ends and points outside [0, 1]
+    TS = np.concatenate([np.linspace(0.0, 1.0, 37), [-0.5, 1e-9, 0.123456789,
+                                                     1.0 - 1e-12, 1.7]])
+
+    @staticmethod
+    def _families():
+        fam = random_symmetric_family(2, np.random.default_rng(5), samples=17)
+        sampled = SymmetricFamily(fam.ts, fam.mats)
+        uneven = SymmetricFamily(np.array([0.0, 0.1, 0.55, 1.0]), fam.mats[:4])
+        return fam, sampled, uneven
+
+    def test_matches_pointwise_bit_for_bit(self):
+        fam, sampled, uneven = self._families()
+        ref = np.stack([fam.matrix_at(t) for t in self.TS])
+        assert _bits(fam.at_many(self.TS)) == _bits(ref)
+        for F in (sampled, uneven, SymmetricFamily(np.array([0.0]), fam.mats[:1])):
+            ref = np.stack([scalar_interpolation(F, t) for t in self.TS])
+            assert _bits(F.at_many(self.TS)) == _bits(ref)
+            assert _bits(np.stack([F.at(t) for t in self.TS])) == _bits(ref)
+
+    def test_slice_at_unchanged(self):
+        # reference: the pointwise blend of the two neighbouring slices
+        fam, sampled, uneven = self._families()
+        for a, b in ((fam, uneven), (uneven, sampled)):
+            F = SymmetricFamily2(np.array([0.0, 1.0]), [a, b])
+            ts = np.union1d(a.ts, b.ts)
+            for s in (0.0, 0.3, 1.0):
+                ref = np.stack([(1.0 - s) * a.at(t) + s * b.at(t) for t in ts])
+                got = F.slice_at(s)
+                assert np.array_equal(got.ts, ts)
+                assert _bits(got.mats) == _bits(ref)
 
 
 class TestPathAlgebra:
