@@ -85,7 +85,7 @@ def constant_family(S: np.ndarray) -> SymmetricFamily:
 # individual axioms; each returns (passed, detail)
 
 
-def axiom_product(rng, cz=cz_rs):
+def axiom_product(rng):
     n = int(rng.integers(1, 3))
     k1, k2 = int(rng.integers(-3, 4)), int(rng.integers(-3, 4))
     L1 = conjugated_rotation_loop(rng, n, k1)
@@ -97,21 +97,21 @@ def axiom_product(rng, cz=cz_rs):
     return ok, "n=%d k=(%d,%d) mu=(%d,%d) product=%d" % (n, k1, k2, m1, m2, m12)
 
 
-def axiom_loop(rng, cz=cz_rs):
+def axiom_loop(rng):
     n = int(rng.integers(1, 3))
     k = int(rng.integers(-2, 3))
     Phi = conjugated_rotation_loop(rng, n, k)
     P = random_admissible_path(rng, n)
-    lhs = cz(Phi.product(P)).as_int()
-    rhs = 2 * maslov_loop(Phi).as_int() + cz(P).as_int()
+    lhs = cz_rs(Phi.product(P)).as_int()
+    rhs = 2 * maslov_loop(Phi).as_int() + cz_rs(P).as_int()
     return lhs == rhs, "n=%d k=%d lhs=%d rhs=%d" % (n, k, lhs, rhs)
 
 
-def axiom_inverse(rng, cz=cz_rs):
+def axiom_inverse(rng):
     n = int(rng.integers(1, 3))
     P = random_admissible_path(rng, n)
-    a = cz(P).as_int()
-    b = cz(P.inverse()).as_int()
+    a = cz_rs(P).as_int()
+    b = cz_rs(P.inverse()).as_int()
     k = int(rng.integers(-3, 4))
     L = conjugated_rotation_loop(rng, n, k)
     m = maslov_loop(L).as_int()
@@ -119,48 +119,48 @@ def axiom_inverse(rng, cz=cz_rs):
     return (a == -b) and (m == -mi), "cz=(%d,%d) maslov=(%d,%d)" % (a, b, m, mi)
 
 
-def axiom_naturality(rng, cz=cz_rs):
+def axiom_naturality(rng):
     n = int(rng.integers(1, 3))
     P = random_admissible_path(rng, n)
     Theta = random_conjugating_path(rng, n)
-    a = cz(P).as_int()
-    b = cz(P.conjugate_by(Theta)).as_int()
+    a = cz_rs(P).as_int()
+    b = cz_rs(P.conjugate_by(Theta)).as_int()
     return a == b, "cz=%d conjugated=%d" % (a, b)
 
 
-def axiom_determinant(rng, cz=cz_rs):
+def axiom_determinant(rng):
     n = int(rng.integers(1, 4))
     P = random_admissible_path(rng, n)
-    c = cz(P).as_int()
+    c = cz_rs(P).as_int()
     det = np.linalg.det(np.eye(2 * n) - P.endpoint())
     ok = (-1.0) ** (n - c) == np.sign(det)
     return ok, "n=%d cz=%d sign(det)=%g" % (n, c, np.sign(det))
 
 
-def axiom_signature(rng, cz=cz_rs):
+def axiom_signature(rng):
     n = int(rng.integers(1, 4))
     S = random_symmetric_bounded(rng, n)
     w = np.linalg.eigvalsh(S)
     half_sign_doubled = int(np.sum(w > 0) - np.sum(w < 0))  # 2 * (sign/2)
     P = path_from_symmetric(constant_family(S), steps=256)
-    got = cz(P)
+    got = cz_rs(P)
     return got.doubled == half_sign_doubled, (
         "n=%d sign=%d got=%s" % (n, half_sign_doubled, got.value)
     )
 
 
-def axiom_direct_sum(rng, cz=cz_rs):
+def axiom_direct_sum(rng):
     P1 = random_admissible_path(rng, 1)
     P2 = random_admissible_path(rng, int(rng.integers(1, 3)))
-    a = cz(P1).as_int()
-    b = cz(P2).as_int()
-    c = cz(P1.direct_sum(P2)).as_int()
+    a = cz_rs(P1).as_int()
+    b = cz_rs(P2).as_int()
+    c = cz_rs(P1.direct_sum(P2)).as_int()
     return c == a + b, "parts=(%d,%d) sum=%d" % (a, b, c)
 
 
-def axiom_cross_algorithm(rng, cz=cz_rs):
+def axiom_cross_algorithm(rng):
     P = random_admissible_path(rng, 1)
-    a = cz(P).as_int()
+    a = cz_rs(P).as_int()
     b, interval = cz_winding(P)
     c = cz_degree_sp2(P)
     ok = a == b.as_int() == c.as_int() and (interval.upper - interval.lower) < 0.5
@@ -181,7 +181,7 @@ AXIOMS = {
 }
 
 
-def run_axiom_suite(seed: int, count: int, axioms=None, cz=cz_rs) -> dict:
+def run_axiom_suite(seed: int, count: int, axioms=None) -> dict:
     """Run ``count`` seeded trials of each axiom; returns a report dict."""
     if count < 0:
         raise ParameterError("trial count must be non-negative, got %d" % count)
@@ -193,7 +193,7 @@ def run_axiom_suite(seed: int, count: int, axioms=None, cz=cz_rs) -> dict:
         failures = []
         for trial in range(count):
             try:
-                ok, detail = fn(rng, cz=cz)
+                ok, detail = fn(rng)
             except Exception as e:  # noqa: BLE001 - report, don't crash the suite
                 ok, detail = False, "%s: %s" % (type(e).__name__, e)
             if not ok:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidPathError, NotLagrangianError
 from .index import maslov_loop
-from .splin import SymplecticPath, rho, unitary_retract
+from .splin import SymplecticPath, rho
 
 
 @dataclass
@@ -48,12 +48,13 @@ def c1_lagrangian_loop(L: SymplecticPath, tol: float = 1e-7) -> int:
     """
     if not L.closed:
         raise InvalidPathError("need a closed loop")
-    for m in L.mats:
-        if abs(complex(rho(m)).imag) > tol:
-            raise NotLagrangianError(
-                "rho has imaginary part %.3e; loop does not preserve a "
-                "Lagrangian subbundle" % abs(complex(rho(m)).imag)
-            )
+    imag = np.abs(rho(L.mats).imag)
+    off = np.flatnonzero(imag > tol)
+    if len(off):
+        raise NotLagrangianError(
+            "rho has imaginary part %.3e; loop does not preserve a "
+            "Lagrangian subbundle" % imag[off[0]]
+        )
     deg = maslov_loop(L).as_int()
     if deg != 0:
         raise NotLagrangianError(
@@ -89,57 +90,54 @@ def check_c1_axioms(seed: int = 0) -> dict:
 
     report = {}
 
+    def record(axiom: str, failures: list):
+        report[axiom] = {"passed": not failures, "detail": "; ".join(failures)}
+
     # additivity: c1(E1 + E2) = c1(E1) + c1(E2) via direct sums of loops
     rng = np.random.default_rng(seed)
-    ok, detail = True, []
+    failures = []
     for _ in range(5):
         d1, d2 = int(rng.integers(-3, 4)), int(rng.integers(-3, 4))
         L1 = rotation_path(1, 2 * np.pi * d1)
         L2 = rotation_path(1, 2 * np.pi * d2)
         got = c1_from_clutching(ClutchingData(4, 0, [L1.direct_sum(L2)]))
         if got != d1 + d2:
-            ok = False
-            detail.append("direct sum of degrees (%d, %d) gave %d" % (d1, d2, got))
-    report["additivity"] = {"passed": ok, "detail": "; ".join(detail)}
+            failures.append("direct sum of degrees (%d, %d) gave %d" % (d1, d2, got))
+    record("additivity", failures)
 
     # functoriality: degree-d covering reparametrization multiplies c1 by d
-    ok, detail = True, []
+    failures = []
     for d in (1, 2, 3, -1):
         L = rotation_path(1, 4 * np.pi)  # c1 = 2
         cov = L.reparametrize(lambda t, d=d: (d * t) % 1.0, samples=257 * abs(d))
         cov.closed = True
         got = c1_from_clutching(ClutchingData(2, 0, [cov]))
         if got != 2 * d:
-            ok = False
-            detail.append("degree-%d cover gave %d, wanted %d" % (d, got, 2 * d))
-    report["functoriality"] = {"passed": ok, "detail": "; ".join(detail)}
+            failures.append("degree-%d cover gave %d, wanted %d" % (d, got, 2 * d))
+    record("functoriality", failures)
 
     # normalization: tangent-bundle data of a genus-g surface has c1 = 2 - 2g
-    ok, detail = True, []
+    failures = []
     for g in (0, 1, 2, 3):
         L = rotation_path(1, 2 * np.pi * (2 - 2 * g))
         got = c1_from_clutching(ClutchingData(2, g, [L]))
         if got != 2 - 2 * g:
-            ok = False
-            detail.append("genus %d gave %d" % (g, got))
-    report["normalization"] = {"passed": ok, "detail": "; ".join(detail)}
+            failures.append("genus %d gave %d" % (g, got))
+    record("normalization", failures)
 
-    # vanishing on loops with a Lagrangian subbundle
-    ok, detail = True, []
-    for trial in range(3):
-        theta = 2 * np.pi
-        call = lambda t: np.array(
+    # vanishing on a loop with a Lagrangian subbundle
+    def call(t):
+        return np.array(
             [[np.cos(2 * np.pi * t) + 2.0, 0.3 * np.sin(2 * np.pi * t)],
              [0.1 * np.sin(4 * np.pi * t), np.cos(2 * np.pi * t) + 3.0]]
         )
-        frames = [call(t) for t in np.linspace(0.0, 1.0, 257)]
-        try:
-            c1_lagrangian_loop(lagrangian_frame_loop(frames, call))
-        except NotLagrangianError as e:
-            ok = False
-            detail.append(str(e))
-    report["lagrangian-vanishing"] = {"passed": ok, "detail": "; ".join(detail)}
-    report["all_passed"] = all(
-        v["passed"] for k, v in report.items() if isinstance(v, dict)
-    )
+
+    failures = []
+    frames = [call(t) for t in np.linspace(0.0, 1.0, 257)]
+    try:
+        c1_lagrangian_loop(lagrangian_frame_loop(frames, call))
+    except NotLagrangianError as e:
+        failures.append(str(e))
+    record("lagrangian-vanishing", failures)
+    report["all_passed"] = all(v["passed"] for v in report.values())
     return report

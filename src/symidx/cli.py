@@ -43,10 +43,20 @@ DEFAULT_TOL = 1e-9
 
 
 def _tol(args) -> float:
+    """``--tol``, else ``SYMIDX_TOL``, else the default: a finite positive number."""
     if args.tol is not None:
-        return args.tol
-    env = os.environ.get("SYMIDX_TOL")
-    return float(env) if env else DEFAULT_TOL
+        source, tol = "--tol", args.tol
+    else:
+        source, env = "SYMIDX_TOL", os.environ.get("SYMIDX_TOL")
+        if not env:
+            return DEFAULT_TOL
+        try:
+            tol = float(env)
+        except ValueError:
+            raise ParameterError("SYMIDX_TOL=%r is not a number" % env)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ParameterError("%s must be a finite positive number, got %r" % (source, tol))
+    return tol
 
 
 def _load_path_or_family(args):
@@ -314,14 +324,16 @@ def main(argv=None) -> int:
         and not callable(v)
     }
 
+    doc = {"command": args.command, "inputs": inputs}
     try:
-        result = handler(args)
-        doc = {"command": args.command, "inputs": inputs,
-               "config": config, "result": result}
+        # checked for every subcommand: a non-finite --tol cannot go into
+        # the strict-JSON config
+        _tol(args)
+        doc["config"] = config
+        doc["result"] = handler(args)
         code = 0
     except SymidxError as e:
-        doc = {"command": args.command, "inputs": inputs,
-               "config": config, "error": e.payload()}
+        doc["error"] = e.payload()
         code = 1
 
     if args.format == "structured":

@@ -11,7 +11,7 @@ S^1 x R with a period-1 angle, and R^{2n}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,8 +21,8 @@ from .errors import (
     ParameterError,
     StepFailureError,
 )
-from .index import IndexValue, cz_rs
-from .splin import SymplecticPath, standard_j
+from .index import cz_rs
+from .splin import SymplecticPath, cayley_step, standard_j
 
 PHASE_SPACES = ("plane", "cylinder", "r2n")
 FD_GRAD_STEP = 1e-6
@@ -91,18 +91,6 @@ class HamiltonianSystem:
             if np.max(np.abs(ana - num)) > rel_tol * max(1.0, np.max(np.abs(ana))):
                 return False
         return True
-
-    def wrap(self, z: np.ndarray) -> np.ndarray:
-        if self.phase_space == "cylinder":
-            z = z.copy()
-            z[0] = z[0] % 1.0
-        return z
-
-    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        if self.phase_space == "cylinder":
-            d[0] = (d[0] + 0.5) % 1.0 - 0.5
-        return float(np.linalg.norm(d))
 
 
 def harmonic_system(j_structure: str = "standard") -> HamiltonianSystem:
@@ -189,15 +177,14 @@ def _flow_with_variational(sys: HamiltonianSystem, z0, T: float, steps: int):
     h = T / steps
     dim = 2 * sys.n
     J = sys.J
-    eye = np.eye(dim)
     zs = np.empty((steps + 1, dim))
     Ms = np.empty((steps + 1, dim, dim))
     zs[0] = np.asarray(z0, dtype=float)
-    Ms[0] = eye
+    Ms[0] = np.eye(dim)
     for k in range(steps):
         zs[k + 1] = _midpoint_step(sys, zs[k], h, k * h)
         A = J @ sys.hess(0.5 * (zs[k] + zs[k + 1]))
-        Ms[k + 1] = np.linalg.solve(eye - 0.5 * h * A, (eye + 0.5 * h * A) @ Ms[k])
+        Ms[k + 1] = cayley_step(A, h, Ms[k])
     return zs, Ms
 
 

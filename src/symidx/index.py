@@ -45,7 +45,6 @@ from .splin import (
     rho,
     standard_j,
     symmetric_family_at_path,
-    unitary_retract,
 )
 
 # sign relating the truncated loop-operator spectral flow (negative
@@ -125,8 +124,8 @@ def _unwrapped_phases(path: SymplecticPath, base_samples: int = 257,
             ts, mats = path.ts, path.mats
         else:
             ts = np.linspace(0.0, 1.0, m)
-            mats = [path.at(t) for t in ts]
-        phases = np.array([np.angle(rho(M)) for M in mats])
+            mats = path.at_many(ts)
+        phases = np.angle(rho(mats))
         jumps = np.angle(np.exp(1j * np.diff(phases)))
         if len(jumps) == 0 or np.max(np.abs(jumps)) < 0.5 * np.pi:
             return ts, phases[0] + np.concatenate([[0.0], np.cumsum(jumps)])
@@ -174,9 +173,9 @@ def _kernel_of_crossing(M: np.ndarray) -> Optional[np.ndarray]:
     return Vt[mask].T
 
 
-def _det_minus_id(path: SymplecticPath, t: float) -> float:
-    M = path.at(t)
-    return float(np.linalg.det(M - np.eye(len(M))))
+def _dets_minus_id(path: SymplecticPath, ts) -> np.ndarray:
+    """det(Psi(t) - I) at every t of ``ts``."""
+    return np.linalg.det(path.at_many(ts) - np.eye(path.dim))
 
 
 def _locate_crossings(path: SymplecticPath, grid_size: int = 257) -> list[float]:
@@ -192,14 +191,14 @@ def _locate_crossings(path: SymplecticPath, grid_size: int = 257) -> list[float]
         d = np.linalg.det(path.mats - np.eye(path.dim))
     else:
         ts = np.linspace(0.0, 1.0, grid_size)
-        d = np.array([_det_minus_id(path, t) for t in ts])
+        d = _dets_minus_id(path, ts)
     scale = max(1e-12, float(np.max(np.abs(d))))
     found: list[float] = []
 
     def bisect(a, fa, b):
         while b - a > BISECT_TOL:
             m = 0.5 * (a + b)
-            fm = _det_minus_id(path, m)
+            fm = _dets_minus_id(path, [m])[0]
             if fa * fm <= 0.0:
                 b = m
             else:
@@ -218,7 +217,7 @@ def _locate_crossings(path: SymplecticPath, grid_size: int = 257) -> list[float]
             # start) can hide a sign change behind the 0 * x = 0 product;
             # sub-scan its interior
             sub = np.linspace(ts[k], ts[k + 1], 10)[1:-1]
-            fs = [_det_minus_id(path, t) for t in sub]
+            fs = _dets_minus_id(path, sub)
             for j in range(len(sub) - 1):
                 if fs[j] * fs[j + 1] < 0.0:
                     bisect(sub[j], fs[j], sub[j + 1])
@@ -233,7 +232,7 @@ def _locate_crossings(path: SymplecticPath, grid_size: int = 257) -> list[float]
             # for sign changes on a fine sub-grid before concluding the
             # zero is tangential
             sub = np.linspace(ts[k - 1], ts[k + 1], 65)
-            fs = [_det_minus_id(path, t) for t in sub]
+            fs = _dets_minus_id(path, sub)
             pair = False
             for j in range(len(sub) - 1):
                 if fs[j] * fs[j + 1] < 0.0:
@@ -242,7 +241,7 @@ def _locate_crossings(path: SymplecticPath, grid_size: int = 257) -> list[float]
             if pair:
                 continue
             res = minimize_scalar(
-                lambda t: abs(_det_minus_id(path, t)),
+                lambda t: abs(_dets_minus_id(path, [t])[0]),
                 bounds=(ts[k - 1], ts[k + 1]),
                 method="bounded",
                 options={"xatol": BISECT_TOL},
@@ -280,16 +279,12 @@ def _crossing_at(path: SymplecticPath, t: float, is_endpoint: bool) -> Crossing:
 def _crossing_sum(path: SymplecticPath) -> CrossingReport:
     """All crossings of the path, endpoints weighted 1/2."""
     crossings: list[Crossing] = []
-    eye = np.eye(path.dim)
-    for t, flag in ((0.0, True), (1.0, True)):
-        M = path.at(t)
-        if _kernel_of_crossing(M) is not None:
-            crossings.append(_crossing_at(path, t, flag))
+    for t in (0.0, 1.0):
+        if _kernel_of_crossing(path.at(t)) is not None:
+            crossings.append(_crossing_at(path, t, True))
     crossings.extend(_crossing_at(path, t, False) for t in _locate_crossings(path))
     crossings.sort(key=lambda c: c.t)
-    total2 = 0
-    for c in crossings:
-        total2 += c.signature if c.is_endpoint else 2 * c.signature
+    total2 = sum(c.signature if c.is_endpoint else 2 * c.signature for c in crossings)
     return CrossingReport(tuple(crossings), total2)
 
 
@@ -389,7 +384,7 @@ def _windings_all_s(P: SymplecticPath, s_samples: int,
     m = max(t_samples, len(P.ts))
     for _ in range(8):
         ts = np.linspace(0.0, 1.0, m)
-        mats = np.stack([P.at(t) for t in ts])  # (m, 2, 2)
+        mats = P.at_many(ts)  # (m, 2, 2)
         # Psi(t) v_s for every (t, s), written out so that the two products
         # are summed in a fixed order (a matmul may reorder them)
         x = mats[:, 0, 0, None] * v0[:, 0]
@@ -525,7 +520,7 @@ def cz_degree_sp2(P: SymplecticPath, tol: float = 1e-9,
     sign0 = np.sign(np.linalg.det(V - np.eye(2)))
     for samples in (ext_samples, 4 * ext_samples):
         ext = _extension_path_sp2(V, samples)
-        dets = np.array([np.linalg.det(m - np.eye(2)) for m in ext.mats])
+        dets = np.linalg.det(ext.mats - np.eye(2))
         if np.all(np.sign(dets) == sign0):
             break
     else:
@@ -564,15 +559,15 @@ def spectral_flow_matrix(A: SymmetricFamily, tol: float = 1e-9,
     negative-eigenvalue counts at the endpoints.
     """
     A.validate()
-    for s in (A.ts[0], A.ts[-1]):
-        w = np.linalg.eigvalsh(A.at(s))
+    ends = np.linalg.eigvalsh(A.at_many([A.ts[0], A.ts[-1]]))
+    for s, w in zip((A.ts[0], A.ts[-1]), ends):
         if np.min(np.abs(w)) <= max(tol, 1e-9) * max(1.0, np.max(np.abs(w))):
             raise EndpointDegenerateError("family endpoint at s=%g is singular" % s)
-    endpoint_flow = _neg_count(A.at(A.ts[0])) - _neg_count(A.at(A.ts[-1]))
+    endpoint_flow = int(np.sum(ends[0] < 0.0) - np.sum(ends[1] < 0.0))
 
     for m in (grid_size, 4 * grid_size):
         ss = np.linspace(A.ts[0], A.ts[-1], m)
-        counts = np.array([_neg_count(A.at(s)) for s in ss])
+        counts = np.sum(np.linalg.eigvalsh(A.at_many(ss)) < 0.0, axis=-1)
         total = 0
         ok = True
         for k in np.where(np.diff(counts) != 0)[0]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Union
 
@@ -56,9 +57,29 @@ def _load_json(source: Union[str, Path, dict]) -> dict:
     except OSError as e:
         raise FileFormatError("cannot read %s: %s" % (source, e))
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise FileFormatError("invalid JSON in %s: %s" % (source, e))
+    if not isinstance(doc, dict):
+        raise FileFormatError("%s must hold a JSON object, not %s"
+                              % (source, type(doc).__name__))
+    return doc
+
+
+def _integer(value, what: str, minimum: int | None = None) -> int:
+    """An integer; floats such as 1.5 (or 1.0) and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise FileFormatError("%s must be an integer, got %r" % (what, value))
+    if minimum is not None and value < minimum:
+        raise FileFormatError("%s must be at least %d, got %d" % (what, minimum, value))
+    return int(value)
+
+
+def _real(value, what: str) -> float:
+    """A finite number."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not np.isfinite(value):
+        raise FileFormatError("%s must be a finite number, got %r" % (what, value))
+    return float(value)
 
 
 def file_digest(path: Union[str, Path]) -> str:
@@ -66,10 +87,15 @@ def file_digest(path: Union[str, Path]) -> str:
 
 
 def _matrix(entry, n: int, what: str) -> np.ndarray:
-    M = np.asarray(entry, dtype=float)
+    try:
+        M = np.asarray(entry, dtype=float)
+    except (TypeError, ValueError):
+        raise FileFormatError("%s matrix is not a rectangular array of numbers" % what)
     if M.shape != (2 * n, 2 * n):
         raise FileFormatError("%s matrix has shape %s, expected %s"
                               % (what, M.shape, (2 * n, 2 * n)))
+    if not np.all(np.isfinite(M)):
+        raise FileFormatError("%s matrix has a non-finite entry" % what)
     return M
 
 
@@ -77,7 +103,7 @@ def _samples(doc_samples, n: int):
     ts, mats = [], []
     for k, s in enumerate(doc_samples):
         _check_keys(s, {"t", "matrix"}, what="sample %d" % k)
-        ts.append(float(s["t"]))
+        ts.append(_real(s["t"], "sample %d t" % k))
         mats.append(_matrix(s["matrix"], n, "sample %d" % k))
     if len(ts) < 2:
         raise FileFormatError("need at least 2 samples")
@@ -90,7 +116,7 @@ def load_path(source) -> SymplecticPath:
                 {"starts_at_identity", "closed"}, "path file")
     if doc["kind"] != "path":
         raise FileFormatError("expected kind 'path', got %r" % doc["kind"])
-    n = int(doc["n"])
+    n = _integer(doc["n"], "n", 1)
     ts, mats = _samples(doc["samples"], n)
     start_id = doc.get(
         "starts_at_identity",
@@ -107,18 +133,18 @@ def load_family(source):
         _check_keys(doc, {"n", "kind", "samples_2d"}, set(), "family file")
         if doc["kind"] != "symmetric_family":
             raise FileFormatError("expected kind 'symmetric_family'")
-        n = int(doc["n"])
+        n = _integer(doc["n"], "n", 1)
         ss, slices = [], []
         for k, row in enumerate(doc["samples_2d"]):
             _check_keys(row, {"s", "rows"}, what="samples_2d entry %d" % k)
-            ss.append(float(row["s"]))
+            ss.append(_real(row["s"], "samples_2d entry %d s" % k))
             ts, mats = _samples(row["rows"], n)
             slices.append(SymmetricFamily(ts, mats).validate())
         return SymmetricFamily2(np.array(ss), slices)
     _check_keys(doc, {"n", "kind", "samples"}, set(), "family file")
     if doc["kind"] != "symmetric_family":
         raise FileFormatError("expected kind 'symmetric_family'")
-    n = int(doc["n"])
+    n = _integer(doc["n"], "n", 1)
     ts, mats = _samples(doc["samples"], n)
     return SymmetricFamily(ts, mats).validate()
 
@@ -153,25 +179,25 @@ def load_clutching(source) -> ClutchingData:
     doc = _load_json(source)
     _check_keys(doc, {"rank", "genus", "loops"}, set(), "clutching file")
     loops = [load_path(p) for p in doc["loops"]]
-    return ClutchingData(int(doc["rank"]), int(doc["genus"]), loops)
+    return ClutchingData(_integer(doc["rank"], "rank"), _integer(doc["genus"], "genus"), loops)
 
 
-def _polynomial_system(spec: dict) -> HamiltonianSystem:
+def _polynomial_system(spec: dict, j_structure: str) -> HamiltonianSystem:
     _check_keys(spec, {"n", "terms"}, what="polynomial hamiltonian")
-    n = int(spec["n"])
+    n = _integer(spec["n"], "polynomial n", 1)
     terms = []
     for k, t in enumerate(spec["terms"]):
         _check_keys(t, {"coeff", "powers"}, what="polynomial term %d" % k)
-        powers = [int(p) for p in t["powers"]]
+        powers = [_integer(p, "term %d exponent" % k, 0) for p in t["powers"]]
         if len(powers) != 2 * n:
             raise FileFormatError("term %d has %d exponents, expected %d"
                                   % (k, len(powers), 2 * n))
-        terms.append((float(t["coeff"]), powers))
+        terms.append((_real(t["coeff"], "term %d coeff" % k), powers))
 
     def H(z):
         return float(sum(c * np.prod(np.asarray(z) ** p) for c, p in terms))
 
-    return HamiltonianSystem(H, n, "plane" if n == 1 else "r2n")
+    return HamiltonianSystem(H, n, "plane" if n == 1 else "r2n", j_structure=j_structure)
 
 
 def load_system(source) -> HamiltonianSystem:
@@ -188,13 +214,12 @@ def load_system(source) -> HamiltonianSystem:
             sys = harmonic_system(jconv)
         elif name == "pendulum":
             _check_keys(params, set(), {"scale"}, "pendulum parameters")
-            sys = pendulum_system(jconv, float(params.get("scale", 1.0)))
+            sys = pendulum_system(jconv, _real(params.get("scale", 1.0), "pendulum scale"))
         else:
             raise FileFormatError("unknown builtin hamiltonian %r" % name)
     elif "polynomial" in ham:
         _check_keys(ham, {"polynomial"}, set(), "hamiltonian")
-        sys = _polynomial_system(ham["polynomial"])
-        sys.j_structure = jconv
+        sys = _polynomial_system(ham["polynomial"], jconv)
     else:
         raise FileFormatError("hamiltonian must have 'builtin' or 'polynomial'")
     if doc["phase_space"] != sys.phase_space:
@@ -210,7 +235,8 @@ def load_complex(source) -> ChainComplex:
     gens = []
     for k, g in enumerate(doc["generators"]):
         _check_keys(g, {"id", "doubled_degree"}, {"action"}, "generator %d" % k)
-        gens.append((g["id"], int(g["doubled_degree"]), g.get("action")))
+        gens.append((g["id"], _integer(g["doubled_degree"], "generator %d doubled_degree" % k),
+                     g.get("action")))
     entries = []
     for k, e in enumerate(doc["boundary"]):
         if not isinstance(e, list) or len(e) not in (2, 3):
@@ -229,9 +255,12 @@ def load_morse_bott(source) -> MorseBottData:
         pts = []
         for j, p in enumerate(c["morse_points"]):
             _check_keys(p, {"id", "morse_index"}, what="morse point %d.%d" % (k, j))
-            pts.append(MorsePoint(p["id"], int(p["morse_index"])))
-        comps.append(BottComponent(c["id"], int(c["dim"]), float(c["action"]),
-                                   int(c["rs_trans_doubled"]), tuple(pts)))
+            pts.append(MorsePoint(p["id"], _integer(p["morse_index"], "morse_index")))
+        what = "component %d " % k
+        comps.append(BottComponent(c["id"], _integer(c["dim"], what + "dim"),
+                                   _real(c["action"], what + "action"),
+                                   _integer(c["rs_trans_doubled"], what + "rs_trans_doubled"),
+                                   tuple(pts)))
     casc = [tuple(e) for e in doc.get("cascades", [])]
     intra = [tuple(e) for e in doc.get("intra", [])]
     return MorseBottData(comps, casc, intra)

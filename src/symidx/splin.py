@@ -13,11 +13,20 @@ Conventions fixed once for the whole library:
 
 Default tolerances: 1e-9 for algebraic identities, 1e-6 for ODE
 round-trips.  Every operation accepts an explicit ``tol``.
+
+Paths and families are evaluated on stacks: ``at_many(ts)`` returns one
+matrix per parameter, shape (m, dim, dim), from the exact evaluator
+``matrix_at`` when there is one and otherwise from one piecewise-linear
+interpolator shared by ``SymplecticPath`` and ``SymmetricFamily``; ``at(t)``
+is the one-parameter case.  ``rho``, ``unitary_retract`` and
+``symplecticity_residual`` take a single matrix or a stack (..., 2n, 2n).
+User evaluators ``matrix_at`` stay scalar: one parameter, one matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -46,24 +55,15 @@ def standard_j(n: int) -> np.ndarray:
     return J
 
 
-def omega0(u: np.ndarray, v: np.ndarray, J: np.ndarray | None = None):
-    """Symplectic product u . (J0 v); complex-bilinear for complex input."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if J is None:
-        J = standard_j(u.shape[-1] // 2)
-    return u @ (J @ v)
-
-
 def symplecticity_residual(M: np.ndarray) -> float:
-    """max-norm of M^T J0 M - J0."""
+    """max-norm of M^T J0 M - J0, over every matrix of a stack (..., 2n, 2n)."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DimensionError("expected a square matrix, got shape %s" % (M.shape,))
-    if M.shape[0] % 2:
-        raise DimensionError("symplectic matrices have even side, got %d" % M.shape[0])
-    J = standard_j(M.shape[0] // 2)
-    return float(np.max(np.abs(M.T @ J @ M - J)))
+    if M.shape[-1] % 2:
+        raise DimensionError("symplectic matrices have even side, got %d" % M.shape[-1])
+    J = standard_j(M.shape[-1] // 2)
+    return float(np.max(np.abs(np.swapaxes(M, -1, -2) @ J @ M - J)))
 
 
 def is_symplectic(M: np.ndarray, tol: float = ALGEBRA_TOL) -> bool:
@@ -106,31 +106,33 @@ def unitary_retract(M) -> np.ndarray:
 
     The square root is taken through the symmetric eigendecomposition of
     the positive definite M M^T, which is unconditionally stable here.
+    A stack (..., 2n, 2n) is retracted matrix by matrix.
     """
     M = _as_matrix(M)
-    P = M @ M.T
+    P = M @ np.swapaxes(M, -1, -2)
     w, V = np.linalg.eigh(P)
     if np.min(w) <= 0:
         raise NotSymplecticError("M M^T is not positive definite")
-    return (V * (1.0 / np.sqrt(w))) @ V.T @ M
+    return (V * (1.0 / np.sqrt(w))[..., None, :]) @ np.swapaxes(V, -1, -2) @ M
 
 
-def unitary_blocks(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a matrix of the form [[X, -Y], [Y, X]] into (X, Y)."""
-    U = np.asarray(U)
-    n = U.shape[0] // 2
-    return U[:n, :n], U[n:, :n]
+def rho(M, tol: float = ALGEBRA_TOL):
+    """The circle-valued map: retract to U(n), then det(X + iY).
 
-
-def rho(M, tol: float = ALGEBRA_TOL) -> complex:
-    """The circle-valued map: retract to U(n), then det(X + iY)."""
+    A complex number for one matrix, an array of them for a stack.
+    """
     U = unitary_retract(M)
-    X, Y = unitary_blocks(U)
-    val = complex(np.linalg.det(X + 1j * Y))
-    mag = abs(val)
-    if abs(mag - 1.0) > max(1e-5, tol * 1e2):
-        raise NotSymplecticError("rho landed off the unit circle: |rho| = %.6f" % mag)
-    return val / mag
+    n = U.shape[-1] // 2  # U = [[X, -Y], [Y, X]]
+    val = np.linalg.det(U[..., :n, :n] + 1j * U[..., n:, :n])
+    mag = np.abs(val)
+    off = np.flatnonzero(np.abs(mag - 1.0) > max(1e-5, tol * 1e2))
+    if len(off):
+        raise NotSymplecticError("rho landed off the unit circle: |rho| = %.6f"
+                                 % np.ravel(mag)[off[0]])
+    # divide the parts separately: the complex-by-real division rounds
+    # differently from a real division
+    out = val.real / mag + 1j * (val.imag / mag)
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +287,7 @@ class SymplecticPath:
         if np.any(np.diff(self.ts) <= 0):
             raise InvalidPathError("parameter grid must be strictly increasing")
         if check_samples:
-            worst = max(symplecticity_residual(m) for m in self.mats)
+            worst = symplecticity_residual(self.mats)
             if worst > tol:
                 raise NotSymplecticError(
                     "worst sample symplecticity residual %.3e > tol %.3e" % (worst, tol)
@@ -302,105 +304,47 @@ class SymplecticPath:
         """Evaluate at parameter t, exactly if possible."""
         if self.matrix_at is not None:
             return np.asarray(self.matrix_at(float(t)), dtype=float)
-        t = float(np.clip(t, self.ts[0], self.ts[-1]))
-        k = int(np.searchsorted(self.ts, t, side="right")) - 1
-        k = min(max(k, 0), len(self.ts) - 2)
-        t0, t1 = self.ts[k], self.ts[k + 1]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        return (1.0 - w) * self.mats[k] + w * self.mats[k + 1]
+        return self.at_many([t])[0]
+
+    def at_many(self, ts) -> np.ndarray:
+        """Evaluate at every parameter of ``ts``; returns shape (m, 2n, 2n)."""
+        return _sample(self.matrix_at, self.ts, self.mats, ts)
 
     def endpoint(self) -> np.ndarray:
         return self.mats[-1]
 
-    def resample(self, m: int) -> "SymplecticPath":
-        ts = np.linspace(0.0, 1.0, m)
-        mats = np.stack([self.at(t) for t in ts])
-        return SymplecticPath(
-            ts, mats, self.starts_at_identity, self.closed, self.tol, self.matrix_at
-        )
-
     # ---- path algebra (pointwise) ----
-
-    def _binary_grid(self, other: "SymplecticPath") -> np.ndarray:
-        ts = np.union1d(self.ts, other.ts)
-        return ts
 
     def product(self, other: "SymplecticPath") -> "SymplecticPath":
         """Pointwise matrix product t -> self(t) other(t)."""
-        ts = self._binary_grid(other)
-        mats = np.stack([self.at(t) @ other.at(t) for t in ts])
-        fa, fb = self.matrix_at, other.matrix_at
-        call = None
-        if fa is not None and fb is not None:
-            call = lambda t: np.asarray(fa(t)) @ np.asarray(fb(t))
-        return SymplecticPath(
-            ts,
-            mats,
-            self.starts_at_identity and other.starts_at_identity,
-            self.closed and other.closed,
-            max(self.tol, other.tol),
-            call,
-        )
+        return _pointwise(np.matmul, (self, other),
+                          self.starts_at_identity and other.starts_at_identity,
+                          self.closed and other.closed)
 
     def inverse(self) -> "SymplecticPath":
-        mats = np.stack([np.linalg.inv(m) for m in self.mats])
-        f = self.matrix_at
-        call = None if f is None else (lambda t: np.linalg.inv(np.asarray(f(t))))
-        return SymplecticPath(
-            self.ts.copy(), mats, self.starts_at_identity, self.closed, self.tol, call
-        )
-
-    def reverse(self) -> "SymplecticPath":
-        f = self.matrix_at
-        call = None if f is None else (lambda t: np.asarray(f(1.0 - t)))
-        return SymplecticPath(
-            1.0 - self.ts[::-1], self.mats[::-1].copy(), False, self.closed, self.tol, call
-        )
+        return _pointwise(np.linalg.inv, (self,), self.starts_at_identity, self.closed,
+                          ts=self.ts, samples=(self.mats,))
 
     def conjugate_by(self, theta: "SymplecticPath") -> "SymplecticPath":
         """t -> Theta(t) self(t) Theta(t)^{-1}."""
-        ts = self._binary_grid(theta)
-        mats = np.stack(
-            [theta.at(t) @ self.at(t) @ np.linalg.inv(theta.at(t)) for t in ts]
-        )
-        fa, fth = self.matrix_at, theta.matrix_at
-        call = None
-        if fa is not None and fth is not None:
-            call = lambda t: np.asarray(fth(t)) @ np.asarray(fa(t)) @ np.linalg.inv(
-                np.asarray(fth(t))
-            )
-        return SymplecticPath(
-            ts, mats, self.starts_at_identity, self.closed,
-            max(self.tol, theta.tol), call,
-        )
+        return _pointwise(lambda a, th: th @ a @ np.linalg.inv(th), (self, theta),
+                          self.starts_at_identity, self.closed)
 
     def direct_sum(self, other: "SymplecticPath") -> "SymplecticPath":
-        ts = self._binary_grid(other)
-        d1, d2 = self.dim, other.dim
+        n1, n2 = self.n, other.n
+        # interleave so the (x, y) split of the sum is preserved
+        ix1 = np.r_[0:n1, n1 + n2:2 * n1 + n2][:, None]
+        ix2 = np.r_[n1:n1 + n2, 2 * n1 + n2:2 * (n1 + n2)][:, None]
 
         def block(a, b):
-            m = np.zeros((d1 + d2, d1 + d2))
-            # interleave so the (x, y) split of the sum is preserved
-            n1, n2 = d1 // 2, d2 // 2
-            ix1 = list(range(n1)) + list(range(n1 + n2, 2 * n1 + n2))
-            ix2 = list(range(n1, n1 + n2)) + list(range(2 * n1 + n2, d1 + d2))
-            m[np.ix_(ix1, ix1)] = a
-            m[np.ix_(ix2, ix2)] = b
+            m = np.zeros((len(a), 2 * (n1 + n2), 2 * (n1 + n2)))
+            m[:, ix1, ix1.T] = a
+            m[:, ix2, ix2.T] = b
             return m
 
-        mats = np.stack([block(self.at(t), other.at(t)) for t in ts])
-        fa, fb = self.matrix_at, other.matrix_at
-        call = None
-        if fa is not None and fb is not None:
-            call = lambda t: block(np.asarray(fa(t)), np.asarray(fb(t)))
-        return SymplecticPath(
-            ts,
-            mats,
-            self.starts_at_identity and other.starts_at_identity,
-            self.closed and other.closed,
-            max(self.tol, other.tol),
-            call,
-        )
+        return _pointwise(block, (self, other),
+                          self.starts_at_identity and other.starts_at_identity,
+                          self.closed and other.closed)
 
     def concatenate(self, other: "SymplecticPath") -> "SymplecticPath":
         """Traverse self on [0, 1/2] and other on [1/2, 1]."""
@@ -419,13 +363,50 @@ class SymplecticPath:
     def reparametrize(self, phi: Callable[[float], float], samples: int = 0) -> "SymplecticPath":
         """Precompose with a map phi: [0,1] -> [0,1]."""
         ts = self.ts if not samples else np.linspace(0.0, 1.0, samples)
-        mats = np.stack([self.at(phi(t)) for t in ts])
-        f = self.matrix_at
-        call = None if f is None else (lambda t: np.asarray(f(phi(t))))
-        return SymplecticPath(
-            np.asarray(ts, dtype=float), mats, self.starts_at_identity, self.closed,
-            self.tol, call,
-        )
+        return _pointwise(lambda a: a, (self,), self.starts_at_identity, self.closed,
+                          ts=ts, phi=phi)
+
+
+def _sample(matrix_at, grid: np.ndarray, mats: np.ndarray, ts) -> np.ndarray:
+    """Stack of values at ``ts``: the exact evaluator if any, else interpolation.
+
+    The piecewise-linear interpolation of the samples ``mats`` on ``grid``
+    clamps parameters to the grid's ends and uses the same formula for
+    every parameter, so one row equals a one-parameter call.
+    """
+    if matrix_at is not None:
+        return np.stack([np.asarray(matrix_at(float(t)), dtype=float) for t in ts])
+    t = np.clip(np.asarray(ts, dtype=float), grid[0], grid[-1])
+    k = np.searchsorted(grid, t, side="right") - 1
+    k = np.minimum(np.maximum(k, 0), len(grid) - 2)
+    t0, t1 = grid[k], grid[k + 1]
+    w = np.divide(t - t0, t1 - t0, out=np.zeros_like(t), where=t1 != t0)[:, None, None]
+    return (1.0 - w) * mats[k] + w * mats[k + 1]
+
+
+def _pointwise(fn, paths, starts_at_identity: bool, closed: bool,
+               ts=None, samples=None, phi=None) -> SymplecticPath:
+    """The path t -> fn(P1(phi(t)), P2(phi(t)), ...) for a map ``fn`` on stacks.
+
+    Sampled on ``ts`` (default: the union of the source grids) through
+    ``at_many``, unless ``samples`` holds the sources' stacks on ``ts``.
+    The result has an exact evaluator only when every source has one.
+    """
+    if ts is None:
+        ts = reduce(np.union1d, [P.ts for P in paths])
+    if samples is None:
+        at = ts if phi is None else [phi(t) for t in ts]
+        samples = [P.at_many(at) for P in paths]
+    calls = [P.matrix_at for P in paths]
+    call = None
+    if all(f is not None for f in calls):
+        phi = phi or (lambda t: t)
+
+        def call(t):
+            return fn(*(np.asarray(f(phi(t)), dtype=float)[None] for f in calls))[0]
+
+    return SymplecticPath(ts, fn(*samples), starts_at_identity, closed,
+                          max(P.tol for P in paths), call)
 
 
 def rotation_path(n: int, theta: float, samples: int = 257) -> SymplecticPath:
@@ -499,19 +480,8 @@ class SymmetricFamily:
         return self.at_many([t])[0]
 
     def at_many(self, ts) -> np.ndarray:
-        """Evaluate at every parameter of ``ts``; returns shape (m, dim, dim).
-
-        Without an exact evaluator the samples are interpolated linearly,
-        the same formula for every t, so row k equals ``at(ts[k])``.
-        """
-        if self.matrix_at is not None:
-            return np.stack([np.asarray(self.matrix_at(float(t)), dtype=float) for t in ts])
-        t = np.clip(np.asarray(ts, dtype=float), self.ts[0], self.ts[-1])
-        k = np.searchsorted(self.ts, t, side="right") - 1
-        k = np.minimum(np.maximum(k, 0), len(self.ts) - 2)
-        t0, t1 = self.ts[k], self.ts[k + 1]
-        w = np.divide(t - t0, t1 - t0, out=np.zeros_like(t), where=t1 != t0)[:, None, None]
-        return (1.0 - w) * self.mats[k] + w * self.mats[k + 1]
+        """Evaluate at every parameter of ``ts``; returns shape (m, dim, dim)."""
+        return _sample(self.matrix_at, self.ts, self.mats, ts)
 
 
 @dataclass
@@ -549,6 +519,16 @@ class SymmetricFamily2:
         return SymmetricFamily(ts, mats, max(a.tol, b.tol))
 
 
+def cayley_step(A: np.ndarray, h: float, Psi: np.ndarray) -> np.ndarray:
+    """One implicit-midpoint step of the linear system Psi' = A Psi.
+
+    For a constant A this is the Cayley map (I - h A/2)^{-1} (I + h A/2),
+    which is symplectic whenever A is Hamiltonian.
+    """
+    eye = np.eye(len(A))
+    return np.linalg.solve(eye - 0.5 * h * A, (eye + 0.5 * h * A) @ Psi)
+
+
 def path_from_symmetric(S: SymmetricFamily, steps: int = 256) -> SymplecticPath:
     """Integrate Psi' = J0 S(t) Psi, Psi(0) = I, by the implicit midpoint rule.
 
@@ -557,21 +537,13 @@ def path_from_symmetric(S: SymmetricFamily, steps: int = 256) -> SymplecticPath:
     """
     if steps < 2:
         raise ParameterError("need at least 2 integration steps")
-    dim = S.dim
-    n = dim // 2
-    J = standard_j(n)
-    Id = np.eye(dim)
-
-    def step(Psi, t0, t1):
-        h = t1 - t0
-        A = J @ S.at(0.5 * (t0 + t1))
-        return np.linalg.solve(Id - 0.5 * h * A, (Id + 0.5 * h * A) @ Psi)
-
+    J = standard_j(S.dim // 2)
     ts = np.linspace(0.0, 1.0, steps + 1)
-    mats = np.empty((steps + 1, dim, dim))
-    mats[0] = Id
+    As = J @ S.at_many(0.5 * (ts[:-1] + ts[1:]))
+    mats = np.empty((steps + 1, S.dim, S.dim))
+    mats[0] = np.eye(S.dim)
     for k in range(steps):
-        mats[k + 1] = step(mats[k], ts[k], ts[k + 1])
+        mats[k + 1] = cayley_step(As[k], ts[k + 1] - ts[k], mats[k])
 
     h = 1.0 / steps
 
@@ -583,7 +555,7 @@ def path_from_symmetric(S: SymmetricFamily, steps: int = 256) -> SymplecticPath:
         if t > t0 + 1e-15:
             # one local midpoint substep from the stored sample keeps the
             # evaluator at the integrator's accuracy
-            Psi = step(Psi, t0, t)
+            Psi = cayley_step(J @ S.at(0.5 * (t0 + t)), t - t0, Psi)
         return Psi
 
     return SymplecticPath(ts, mats, True, False, max(ODE_TOL, 10.0 / steps**2), call)

@@ -87,6 +87,32 @@ class TestExitCodes:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("case", ["array", "ragged", "nan", "n=1.5"])
+    def test_malformed_file_is_file_format_error(self, capsys, tmp_path, case):
+        doc = dump_path(rotation_path(1, np.pi / 2))
+        if case == "array":
+            doc = [doc]
+        elif case == "ragged":
+            doc["samples"][1]["matrix"][1] = [1.0]
+        elif case == "nan":
+            doc["samples"][1]["matrix"][0][0] = float("nan")
+        else:
+            doc["n"] = 1.5
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        code, out = run(capsys, ["index", "cz", "--input", str(f)])
+        assert code == 1
+        assert json.loads(out)["error"]["error"] == "file-format"
+
+    def test_unknown_j_convention_is_parameter_error(self, capsys, tmp_path):
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps({"phase_space": "plane", "j_convention": "bogus",
+                                 "hamiltonian": {"polynomial": {"n": 1, "terms": [
+                                     {"coeff": 0.5, "powers": [2, 0]}]}}}))
+        code, out = run(capsys, ["dyn", "integrate", "--input", str(f), "--T", "0.1"])
+        assert code == 1
+        assert json.loads(out)["error"]["error"] == "parameter"
+
     def test_bad_file_is_domain_error(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text("{}")
@@ -122,6 +148,19 @@ class TestTolEnv:
         code, out = run(capsys, ["index", "cz", "--input", quarter_path])
         assert code == 1
         assert json.loads(out)["error"]["error"] == "endpoint-degenerate"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1.0", "0"])
+    def test_tol_flag_must_be_finite_positive(self, capsys, quarter_path, tol):
+        code, out = run(capsys, ["--tol", tol, "index", "cz", "--input", quarter_path])
+        assert code == 1
+        assert json.loads(out)["error"]["error"] == "parameter"
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "tight"])
+    def test_env_tol_must_be_finite_positive(self, capsys, quarter_path, monkeypatch, tol):
+        monkeypatch.setenv("SYMIDX_TOL", tol)
+        code, out = run(capsys, ["index", "cz", "--input", quarter_path])
+        assert code == 1
+        assert json.loads(out)["error"]["error"] == "parameter"
 
     def test_flag_overrides_env(self, capsys, quarter_path, monkeypatch):
         monkeypatch.setenv("SYMIDX_TOL", "1e-2")

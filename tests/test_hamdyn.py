@@ -72,6 +72,15 @@ class TestIntegrate:
         d2 = integrate(sys, [0.3, 0.2], 5.0, 1e-3).energy_drift(sys)
         assert d2 < d1 / 3.0
 
+    def test_pendulum_off_equilibrium_drift_is_second_order(self):
+        # from (0.3, 0.1) the drift is 8.0e-7 at dt = 1e-3 and four times
+        # that at dt = 2e-3: bounded, and shrinking like dt^2
+        sys = pendulum_system()
+        fine = integrate(sys, [0.3, 0.1], 10.0, 1e-3).energy_drift(sys)
+        coarse = integrate(sys, [0.3, 0.1], 10.0, 2e-3).energy_drift(sys)
+        assert 0.0 < fine < 2e-6
+        assert 3.5 <= coarse / fine <= 4.5
+
     def test_bad_dt(self):
         with pytest.raises(ParameterError):
             integrate(harmonic_system(), [1.0, 0.0], 1.0, 0.0)

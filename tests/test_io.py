@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from symidx.chern import ClutchingData
-from symidx.errors import FileFormatError
+from symidx.errors import FileFormatError, ParameterError
 from symidx.hamdyn import ham_vector_field
 from symidx.io import (
     dump_family,
@@ -76,6 +76,28 @@ class TestPathRoundTrip:
         with pytest.raises(FileFormatError):
             load_path("/nonexistent/path.json")
 
+    def test_ragged_matrix(self):
+        doc = dump_path(rotation_path(1, 1.0))
+        doc["samples"][1]["matrix"] = [[1.0, 0.0], [0.0]]
+        with pytest.raises(FileFormatError):
+            load_path(doc)
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+    def test_non_finite_entry(self, tmp_path, entry):
+        doc = dump_path(rotation_path(1, 1.0))
+        doc["samples"][1]["matrix"][0][0] = entry
+        f = tmp_path / "nan.json"
+        f.write_text(json.dumps(doc))  # written as the NaN / Infinity literal
+        with pytest.raises(FileFormatError):
+            load_path(f)
+
+    @pytest.mark.parametrize("n", [1.5, 1.0, "1", True, 0])
+    def test_n_must_be_a_positive_integer(self, n):
+        doc = dump_path(rotation_path(1, 1.0))
+        doc["n"] = n
+        with pytest.raises(FileFormatError):
+            load_path(doc)
+
 
 class TestFamilyRoundTrip:
     def test_one_parameter(self):
@@ -140,6 +162,15 @@ class TestSystem:
         # same field as the harmonic oscillator
         assert np.allclose(ham_vector_field(sys, [1.0, 0.0]), [0.0, 1.0],
                            atol=1e-6)
+
+    @pytest.mark.parametrize("hamiltonian", [
+        {"builtin": "harmonic"},
+        {"polynomial": {"n": 1, "terms": [{"coeff": 0.5, "powers": [2, 0]}]}},
+    ])
+    def test_unknown_j_convention(self, hamiltonian):
+        with pytest.raises(ParameterError):
+            load_system({"phase_space": "plane", "hamiltonian": hamiltonian,
+                         "j_convention": "bogus"})
 
     def test_unknown_builtin(self):
         with pytest.raises(FileFormatError):
