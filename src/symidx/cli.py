@@ -1,7 +1,8 @@
 """Command-line frontend.
 
-Exit codes: 0 success, 1 domain error (machine-readable error object on
-stdout), 2 usage error.  With ``--format structured`` (the default) each
+Exit codes: 0 success, 1 domain error, 2 usage error; both errors print
+a machine-readable error object on stdout (``--help`` prints its text
+and exits 0).  With ``--format structured`` (the default) each
 invocation emits a single JSON document containing the input digests,
 the configuration, and the result; identical invocations with identical
 seeds produce byte-identical output.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from . import io as sio
 from .axioms import run_axiom_suite
 from .chain import cascade_complex, cohomology, homology, rfh_unit_sphere
 from .chern import c1_from_clutching
-from .errors import FileFormatError, ParameterError, SymidxError
+from .errors import FileFormatError, ParameterError, SymidxError, UsageError
 from .hamdyn import (
     find_periodic_orbit,
     integrate,
@@ -242,8 +244,26 @@ def _cmd_axioms(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises ``UsageError`` instead of exiting.
+
+    Any negative float literal (``-1e-9``, ``-inf``) is read as a value:
+    argparse's own pattern knows only plain decimals and would read
+    ``--tol -1e-9`` as an unknown option.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError("%s: %s" % (self.prog, message))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="symidx")
+    p = _Parser(prog="symidx")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--output", type=str, default=None)
     p.add_argument("--format", choices=("structured", "human"),
@@ -306,7 +326,10 @@ def _render_human(doc: dict, prefix: str = "") -> str:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as e:
+    except UsageError as e:
+        sys.stdout.write(json.dumps({"error": e.payload()}, sort_keys=True, indent=2) + "\n")
+        return 2
+    except SystemExit as e:  # --help
         return 2 if e.code not in (0, None) else 0
 
     handler = getattr(args, "handler", None)
@@ -326,9 +349,12 @@ def main(argv=None) -> int:
 
     doc = {"command": args.command, "inputs": inputs}
     try:
-        # checked for every subcommand: a non-finite --tol cannot go into
+        # checked for every subcommand: a non-finite number cannot go into
         # the strict-JSON config
         _tol(args)
+        for name, v in config.items():
+            if isinstance(v, float) and not np.isfinite(v):
+                raise ParameterError("--%s must be finite, got %r" % (name, v))
         doc["config"] = config
         doc["result"] = handler(args)
         code = 0

@@ -123,3 +123,9 @@ class UnsupportedError(SymidxError):
 
 class FileFormatError(SymidxError):
     name = "file-format"
+
+
+class UsageError(SymidxError):
+    """A command line that does not parse (the CLI exits 2)."""
+
+    name = "usage"

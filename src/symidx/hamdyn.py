@@ -27,6 +27,8 @@ from .splin import SymplecticPath, cayley_step, standard_j
 PHASE_SPACES = ("plane", "cylinder", "r2n")
 FD_GRAD_STEP = 1e-6
 FD_HESS_STEP = 1e-5
+NEWTON_TOL = 1e-13  # relative residual of the midpoint Newton solve
+NEWTON_MAX_ITER = 25
 
 
 @dataclass
@@ -95,10 +97,12 @@ class HamiltonianSystem:
 
 def harmonic_system(j_structure: str = "standard") -> HamiltonianSystem:
     """H(z) = |z|^2 / 2 on the plane."""
+    eye = np.eye(2)
+    eye.flags.writeable = False
     return HamiltonianSystem(
         hamiltonian=lambda z: 0.5 * float(z @ z),
         gradient=lambda z: np.asarray(z, dtype=float),
-        hessian=lambda z: np.eye(2),
+        hessian=lambda z: eye,
         n=1, phase_space="plane", j_structure=j_structure,
     )
 
@@ -111,15 +115,17 @@ def pendulum_system(j_structure: str = "standard",
     (1/2, 0) (Morse index 0).
     """
     c = scale
+    zero = c * 0.0  # the off-diagonal of c * diag(...), sign included
 
     def H(z):
         return c * (0.5 * z[1] ** 2 + np.cos(2 * np.pi * z[0]))
 
     def G(z):
-        return c * np.array([-2 * np.pi * np.sin(2 * np.pi * z[0]), z[1]])
+        return np.array([c * (-2 * np.pi * np.sin(2 * np.pi * z[0])), c * z[1]])
 
     def Hs(z):
-        return c * np.diag([-4 * np.pi**2 * np.cos(2 * np.pi * z[0]), 1.0])
+        return np.array([[c * (-4 * np.pi**2 * np.cos(2 * np.pi * z[0])), zero],
+                         [zero, c]])
 
     return HamiltonianSystem(H, 1, "cylinder", G, Hs, j_structure)
 
@@ -139,17 +145,14 @@ class Trajectory:
         return float(np.max(np.abs(e - e[0])))
 
 
-def _midpoint_step(sys: HamiltonianSystem, z0: np.ndarray, dt: float,
-                   t: float, newton_tol: float = 1e-13,
-                   max_iter: int = 25) -> np.ndarray:
-    """One implicit-midpoint step z1 = z0 + dt X((z0+z1)/2) by Newton."""
-    J = sys.J
+def _midpoint_step(sys: HamiltonianSystem, J: np.ndarray, eye: np.ndarray,
+                   z0: np.ndarray, dt: float, t: float) -> np.ndarray:
+    """One implicit-midpoint step z1 = z0 + dt X((z0+z1)/2), X = J grad H, by Newton."""
     z1 = z0 + dt * (J @ sys.grad(z0))  # explicit Euler predictor
-    eye = np.eye(len(z0))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         mid = 0.5 * (z0 + z1)
         g = z1 - z0 - dt * (J @ sys.grad(mid))
-        if np.max(np.abs(g)) < newton_tol * max(1.0, np.max(np.abs(z1))):
+        if np.abs(g).max() < NEWTON_TOL * max(1.0, np.abs(z1).max()):
             return z1
         Jac = eye - 0.5 * dt * (J @ sys.hess(mid))
         try:
@@ -159,65 +162,51 @@ def _midpoint_step(sys: HamiltonianSystem, z0: np.ndarray, dt: float,
     raise StepFailureError("midpoint Newton stalled at t=%g" % t, t)
 
 
-def integrate(sys: HamiltonianSystem, z0, T: float, dt: float) -> Trajectory:
-    """Implicit-midpoint trajectory from z0 over [0, T]."""
-    if dt <= 0 or not np.isfinite(T):
-        raise ParameterError("need dt > 0 and finite T")
-    steps = max(1, int(np.ceil(abs(T) / dt)))
+def _flow(sys: HamiltonianSystem, z0, T: float, steps: int) -> Trajectory:
+    """``steps`` implicit-midpoint steps of size T / steps from z0."""
     h = T / steps
+    J, eye = sys.J, np.eye(2 * sys.n)
     zs = np.empty((steps + 1, 2 * sys.n))
     zs[0] = np.asarray(z0, dtype=float)
     for k in range(steps):
-        zs[k + 1] = _midpoint_step(sys, zs[k], h, k * h)
+        zs[k + 1] = _midpoint_step(sys, J, eye, zs[k], h, k * h)
     return Trajectory(np.linspace(0.0, T, steps + 1), zs)
 
 
-def _flow_with_variational(sys: HamiltonianSystem, z0, T: float, steps: int):
-    """Flow endpoint plus monodromy samples (linearized flow matrices)."""
-    h = T / steps
-    dim = 2 * sys.n
-    J = sys.J
-    zs = np.empty((steps + 1, dim))
-    Ms = np.empty((steps + 1, dim, dim))
-    zs[0] = np.asarray(z0, dtype=float)
-    Ms[0] = np.eye(dim)
-    for k in range(steps):
-        zs[k + 1] = _midpoint_step(sys, zs[k], h, k * h)
-        A = J @ sys.hess(0.5 * (zs[k] + zs[k + 1]))
-        Ms[k + 1] = cayley_step(A, h, Ms[k])
-    return zs, Ms
+def integrate(sys: HamiltonianSystem, z0, T: float, dt: float) -> Trajectory:
+    """Implicit-midpoint trajectory from z0 over [0, T]."""
+    if not (dt > 0 and np.isfinite(T)):
+        raise ParameterError("need dt > 0 and finite T")
+    return _flow(sys, z0, T, max(1, int(np.ceil(abs(T) / dt))))
 
 
 @dataclass
 class PeriodicOrbit:
+    """A closed orbit; ``monodromy_and_cz`` linearizes along ``trajectory``."""
     z0: np.ndarray
     period: float
     trajectory: Trajectory
-    monodromy: SymplecticPath
     residual: float
-
-
-def _monodromy_path(Ms: np.ndarray, tol: float = 1e-6) -> SymplecticPath:
-    ts = np.linspace(0.0, 1.0, len(Ms))
-    return SymplecticPath(ts, Ms.copy(), True, False, tol)
 
 
 def _first_return(sys: HamiltonianSystem, z0: np.ndarray, normal: np.ndarray,
                   anchor: np.ndarray, T_guess: float, dt: float):
     """Poincare return of z0 to the section through ``anchor``.
 
-    Integrates to 1.6 T_guess, collects same-direction section crossings,
-    and refines the one closest to T_guess by a secant solve inside the
-    bracketing step.  Returns (return point, return time).
+    Steps towards 1.6 T_guess, refines each same-direction section
+    crossing by a secant solve inside its bracketing step and keeps the
+    one closest to T_guess, stopping once no later one can be closer.
+    Returns (return point, return time).
     """
     horizon = 1.6 * T_guess
     steps = max(64, int(np.ceil(horizon / dt)))
     h = horizon / steps
+    J, eye = sys.J, np.eye(2 * sys.n)
     z = z0.copy()
     prev = float(normal @ (z - anchor))
-    crossings = []
+    best = None  # (return time, return point, distance to T_guess)
     for k in range(steps):
-        z_next = _midpoint_step(sys, z, h, k * h)
+        z_next = _midpoint_step(sys, J, eye, z, h, k * h)
         cur = float(normal @ (z_next - anchor))
         if prev < 0.0 <= cur and k * h > 10 * dt:
             # same-direction crossing inside (k h, (k+1) h): secant on tau
@@ -226,7 +215,7 @@ def _first_return(sys: HamiltonianSystem, z0: np.ndarray, normal: np.ndarray,
             za = z
             for _ in range(60):
                 tau = a - fa * (b - a) / (fb - fa)
-                zm = _midpoint_step(sys, za, tau - a, k * h) if tau > a else za
+                zm = _midpoint_step(sys, J, eye, za, tau - a, k * h) if tau > a else za
                 fm = float(normal @ (zm - anchor))
                 if abs(fm) < 1e-13 or b - a < 1e-14:
                     break
@@ -234,13 +223,16 @@ def _first_return(sys: HamiltonianSystem, z0: np.ndarray, normal: np.ndarray,
                     b, fb = tau, fm
                 else:
                     za, a, fa = zm, tau, fm
-            crossings.append((k * h + tau, zm))
+            t_c = k * h + tau
+            if best is None or abs(t_c - T_guess) < best[2]:
+                best = (t_c, zm, abs(t_c - T_guess))
+        if best is not None and (k + 1) * h - T_guess >= best[2]:
+            break
         z = z_next
         prev = cur
-    if not crossings:
+    if best is None:
         raise NoOrbitFoundError("no section return before t = %.3g" % horizon)
-    T, zT = min(crossings, key=lambda c: abs(c[0] - T_guess))
-    return zT, T
+    return best[1], best[0]
 
 
 def find_periodic_orbit(sys: HamiltonianSystem, z_guess, T_guess: float,
@@ -254,14 +246,14 @@ def find_periodic_orbit(sys: HamiltonianSystem, z_guess, T_guess: float,
     return time is the period of the branch selected by T_guess.
     Equilibria short-circuit to constant orbits.
     """
+    if not (np.isfinite(dt) and dt > 0 and np.isfinite(T_guess) and T_guess > 0):
+        raise ParameterError("need finite dt > 0 and finite T_guess > 0")
     z = np.asarray(z_guess, dtype=float)
     dim = 2 * sys.n
     X0 = ham_vector_field(sys, z)
     if np.linalg.norm(X0) < 1e-10:
-        steps = max(64, int(np.ceil(T_guess / dt)))
-        zs, Ms = _flow_with_variational(sys, z, T_guess, steps)
-        traj = Trajectory(np.linspace(0.0, T_guess, steps + 1), zs)
-        return PeriodicOrbit(z, float(T_guess), traj, _monodromy_path(Ms), 0.0)
+        traj = _flow(sys, z, T_guess, max(64, int(np.ceil(T_guess / dt))))
+        return PeriodicOrbit(z, float(T_guess), traj, 0.0)
 
     normal = X0 / np.linalg.norm(X0)
     anchor = z.copy()
@@ -281,11 +273,9 @@ def find_periodic_orbit(sys: HamiltonianSystem, z_guess, T_guess: float,
         point = anchor + E @ y
         g, T = gap_of(point)
         if np.linalg.norm(g) < shoot_tol:
-            steps = max(64, int(np.ceil(T / dt)))
-            zs, Ms = _flow_with_variational(sys, point, T, steps)
-            traj = Trajectory(np.linspace(0.0, T, steps + 1), zs)
-            return PeriodicOrbit(point, float(T), traj, _monodromy_path(Ms),
-                                 float(np.linalg.norm(zs[-1] - point)))
+            traj = _flow(sys, point, T, max(64, int(np.ceil(T / dt))))
+            return PeriodicOrbit(point, float(T), traj,
+                                 float(np.linalg.norm(traj.zs[-1] - point)))
         F = E.T @ g
         hfd = 1e-6 * max(1.0, float(np.max(np.abs(y))))
         Jc = np.empty((dim - 1, dim - 1))
@@ -308,14 +298,23 @@ def monodromy_and_cz(sys: HamiltonianSystem, orbit: PeriodicOrbit,
                      tol: float = 1e-6):
     """(monodromy path, nondegenerate?, indices or None).
 
-    Nondegenerate iff 1 is not an eigenvalue of the time-1 monodromy; in
-    that case both normalizations of the Conley-Zehnder index of the
-    monodromy path are returned as {"standard": .., "canonical": ..}.
+    The monodromy path is the linearized flow along the orbit's stored
+    trajectory: one Cayley step of J Hess H at each step's midpoint, at
+    the trajectory's step size, on the unit time grid.  Nondegenerate iff
+    1 is not an eigenvalue of the time-1 monodromy; in that case both
+    normalizations of the Conley-Zehnder index of the monodromy path are
+    returned as {"standard": .., "canonical": ..}.
     """
-    path = orbit.monodromy
+    zs = orbit.trajectory.zs
+    h = orbit.period / (len(zs) - 1)
+    J, eye = sys.J, np.eye(2 * sys.n)
+    Ms = np.empty((len(zs),) + eye.shape)
+    Ms[0] = eye
+    for k in range(len(zs) - 1):
+        Ms[k + 1] = cayley_step(J @ sys.hess(0.5 * (zs[k] + zs[k + 1])), h, Ms[k])
+    path = SymplecticPath(np.linspace(0.0, 1.0, len(zs)), Ms, True, False, 1e-6)
     path.validate(check_samples=False)
-    M = path.endpoint()
-    nondeg = abs(np.linalg.det(M - np.eye(len(M)))) > tol
+    nondeg = abs(np.linalg.det(path.endpoint() - eye)) > tol
     if not nondeg:
         return path, False, None
     std = cz_rs(path)

@@ -33,6 +33,14 @@ def sphere_file(tmp_path):
     return str(f)
 
 
+@pytest.fixture
+def harmonic_file(tmp_path):
+    f = tmp_path / "harmonic.json"
+    f.write_text(json.dumps({"phase_space": "plane",
+                             "hamiltonian": {"builtin": "harmonic"}}))
+    return str(f)
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -86,6 +94,33 @@ class TestExitCodes:
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("argv, words", [
+        (["index", "frobnicate", "--input", "x"], "invalid choice: 'frobnicate'"),
+        ([], "required: command"),
+        (["index", "cz"], "required: --input"),
+        (["dyn", "orbit", "--T", "six"], "invalid float value: 'six'"),
+        (["--format", "xml", "axioms"], "invalid choice: 'xml'"),
+    ])
+    def test_usage_error_is_json_error_object(self, capsys, argv, words):
+        code, out = run(capsys, argv)
+        assert code == 2
+        err = json.loads(out, parse_constant=pytest.fail)["error"]
+        assert err["error"] == "usage"
+        assert words in err["message"]
+
+    def test_help_is_text_and_exit_0(self, capsys):
+        code, out = run(capsys, ["--help"])
+        assert code == 0
+        assert out.startswith("usage: symidx")
+
+    def test_negative_exponent_value_reaches_the_tol_check(self, capsys, quarter_path):
+        # "-1e-9" is the value of --tol, not an unknown option
+        code, out = run(capsys, ["--tol", "-1e-9", "index", "cz", "--input", quarter_path])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["error"] == "parameter"
+        assert "-1e-09" in err["message"]
 
     @pytest.mark.parametrize("case", ["array", "ragged", "nan", "n=1.5"])
     def test_malformed_file_is_file_format_error(self, capsys, tmp_path, case):
@@ -228,6 +263,18 @@ class TestDynCommand:
         code, out = run(capsys, ["dyn", "twist", "--grid", "0"])
         assert code == 1
         assert "NaN" not in out
+        assert json.loads(out)["error"]["error"] == "parameter"
+
+    @pytest.mark.parametrize("action, flag", [
+        ("orbit", "--dt=0"),
+        ("orbit", "--T=nan"),
+        ("monodromy", "--T=inf"),
+        ("monodromy", "--T=-1.0"),
+        ("integrate", "--dt=nan"),
+    ])
+    def test_bad_time_or_step_is_parameter_error(self, capsys, harmonic_file, action, flag):
+        code, out = run(capsys, ["dyn", action, "--input", harmonic_file, flag])
+        assert code == 1
         assert json.loads(out)["error"]["error"] == "parameter"
 
     def test_integrate_without_input_is_domain_error(self, capsys):

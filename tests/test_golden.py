@@ -7,6 +7,10 @@ compared too, so a change in how the input is generated shows as such
 and not as a changed index.  The ``inputs`` block itself is not
 compared, because it names the temporary path.
 
+The ``dyn`` cases run the implicit-midpoint integrator, periodic-orbit
+shooting and the monodromy index on the builtin systems; they pin the
+floating-point results of the flow, not only its indices.
+
 The index cases use inputs on which every index algorithm agrees
 (``cz_rs``, ``rs_index``, ``cz_winding`` and ``cz_degree_sp2`` on Sp(2)
 paths; the loop-operator flow and the CZ difference of its slices), so
@@ -28,7 +32,13 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 
 def make_input(spec: dict) -> dict:
-    """The input document described by ``spec`` (kind, seed, n, ...)."""
+    """The input document described by ``spec`` (kind, seed, n, ...).
+
+    A ``system`` spec carries its system file itself: every key but
+    ``kind`` is the document.
+    """
+    if spec["kind"] == "system":
+        return {k: v for k, v in spec.items() if k != "kind"}
     rng = np.random.default_rng(spec["seed"])
     n = spec["n"]
     if spec["kind"] == "path":

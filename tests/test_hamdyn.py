@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from symidx import hamdyn
 from symidx.errors import NoOrbitFoundError, ParameterError
 from symidx.hamdyn import (
     HamiltonianSystem,
@@ -111,6 +114,48 @@ class TestPeriodicOrbit:
     def test_no_orbit_for_short_horizon(self):
         with pytest.raises(NoOrbitFoundError):
             find_periodic_orbit(harmonic_system(), [1.0, 0.0], 0.5)
+
+    def test_guess_near_second_return_selects_it(self):
+        orbit = find_periodic_orbit(harmonic_system(), [1.0, 0.0], 10.0)
+        assert abs(orbit.period - 4 * np.pi) < 1e-5
+
+    def test_first_return_stops_after_nearest_crossing(self, monkeypatch):
+        # the crossing at 2 pi is the nearest to T_guess = 6 once the flow
+        # passes 2 pi; stepping on towards 1.6 T_guess = 9.6 would be waste
+        steps = []
+        step = hamdyn._midpoint_step
+
+        def counted(*args):
+            steps.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(hamdyn, "_midpoint_step", counted)
+        sys, z0, dt = harmonic_system(), np.array([1.0, 0.0]), 1e-3
+        normal = ham_vector_field(sys, z0)
+        _, T = hamdyn._first_return(sys, z0, normal, z0.copy(), 6.0, dt)
+        assert abs(T - 2 * np.pi) < 1e-5
+        assert len(steps) <= math.ceil(2 * np.pi / dt) + 64
+
+    @pytest.mark.parametrize("T_guess, dt", [
+        (6.0, 0.0), (6.0, -1e-3), (6.0, float("nan")), (6.0, float("inf")),
+        (0.0, 1e-3), (-6.0, 1e-3), (float("nan"), 1e-3), (float("inf"), 1e-3),
+    ])
+    def test_bad_guess_or_step_is_parameter_error(self, T_guess, dt):
+        with pytest.raises(ParameterError):
+            find_periodic_orbit(harmonic_system(), [1.0, 0.0], T_guess, dt=dt)
+
+    def test_monodromy_is_the_linearized_stored_flow(self):
+        # the harmonic flow is a rotation; its midpoint linearization is the
+        # Cayley rotation at the trajectory's step, sample by sample
+        orbit = find_periodic_orbit(harmonic_system(), [1.0, 0.0], 6.0)
+        path, _, _ = monodromy_and_cz(harmonic_system(), orbit)
+        steps = len(orbit.trajectory.zs) - 1
+        assert len(path.mats) == steps + 1 and path.starts_at_identity
+        h = orbit.period / steps
+        A = harmonic_system().J
+        C = np.linalg.solve(np.eye(2) - 0.5 * h * A, np.eye(2) + 0.5 * h * A)
+        assert np.allclose(path.mats[1], C, atol=1e-15)
+        assert np.allclose(path.endpoint(), np.eye(2), atol=1e-8)
 
     def test_equilibrium_cz_matches_morse(self):
         # CZcan(constant orbit) = n - Morse index in the canonical structure
