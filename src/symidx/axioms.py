@@ -17,6 +17,7 @@ from .index import cz_degree_sp2, cz_rs, cz_winding, maslov_loop
 from .splin import (
     SymmetricFamily,
     SymplecticPath,
+    _stacked,
     path_from_symmetric,
     random_symmetric_family,
     random_symplectic,
@@ -47,12 +48,13 @@ def conjugated_rotation_loop(rng: np.random.Generator, n: int,
     J = standard_j(n)
     eye = np.eye(2 * n)
 
+    @_stacked
     def call(t):
         a = 2 * np.pi * turns * t
-        return M @ (np.cos(a) * eye + np.sin(a) * J) @ Minv
+        return M @ (np.cos(a)[:, None, None] * eye + np.sin(a)[:, None, None] * J) @ Minv
 
     ts = np.linspace(0.0, 1.0, 257)
-    mats = np.stack([call(t) for t in ts])
+    mats = call(ts)
     return SymplecticPath(ts, mats, True, True, 1e-9, call)
 
 
@@ -78,7 +80,8 @@ def random_symmetric_bounded(rng: np.random.Generator, n: int,
 
 def constant_family(S: np.ndarray) -> SymmetricFamily:
     ts = np.array([0.0, 1.0])
-    return SymmetricFamily(ts, np.stack([S, S]), matrix_at=lambda t: S)
+    call = _stacked(lambda t: np.repeat(S[None], len(t), axis=0))
+    return SymmetricFamily(ts, call(ts), matrix_at=call)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,11 @@ from .splin import (
     SymmetricFamily,
     SymmetricFamily2,
     SymplecticPath,
+    _piecewise,
+    _stacked,
+    _value_and_form,
     rho,
     standard_j,
-    symmetric_family_at_path,
 )
 
 # sign relating the truncated loop-operator spectral flow (negative
@@ -58,6 +60,7 @@ BISECT_TOL = 1e-10
 FORM_REG_TOL = 1e-6  # crossing-form eigenvalues below this (relative)
 #                      make the crossing irregular
 PERTURB_DELTAS = tuple(1e-4 * 0.5**k for k in range(8))
+WINDING_BLOCK = 128  # fan directions per pass: keeps the (t, s) arrays in cache
 
 
 @dataclass(frozen=True)
@@ -178,12 +181,33 @@ def _dets_minus_id(path: SymplecticPath, ts) -> np.ndarray:
     return np.linalg.det(path.at_many(ts) - np.eye(path.dim))
 
 
+def _bisect_together(a, b, left_of) -> np.ndarray:
+    """Midpoints of the brackets [a_i, b_i] halved until narrower than
+    BISECT_TOL, all brackets in one pass per level.
+
+    ``left_of(i, mids)`` tells, for the live brackets ``i``, whether the
+    crossing lies in the left half at their midpoints ``mids``.  Each
+    bracket takes the midpoints a one-bracket bisection would take.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    live = b - a > BISECT_TOL
+    while np.any(live):
+        i = np.flatnonzero(live)
+        mid = 0.5 * (a[i] + b[i])
+        left = left_of(i, mid)
+        b[i[left]] = mid[left]
+        a[i[~left]] = mid[~left]
+        live[i] = b[i] - a[i] > BISECT_TOL
+    return 0.5 * (a + b)
+
+
 def _locate_crossings(path: SymplecticPath, grid_size: int = 257) -> list[float]:
     """Parameters in (0,1) where 1 is an eigenvalue of path(t).
 
-    Sign changes of det(Psi(t)-I) are bisected; zeros of even order (no
-    sign change) are caught as small local minima of |det| and confirmed
-    by a singular-value test after a bounded scalar minimization.
+    Sign changes of det(Psi(t)-I) are bisected, all brackets together;
+    zeros of even order (no sign change) are caught as small local minima
+    of |det| and confirmed by a singular-value test after a bounded scalar
+    minimization.
     """
     if len(path.ts) >= 129:
         # dense sample grid: batch the determinant scan over stored samples
@@ -194,16 +218,8 @@ def _locate_crossings(path: SymplecticPath, grid_size: int = 257) -> list[float]
         d = _dets_minus_id(path, ts)
     scale = max(1e-12, float(np.max(np.abs(d))))
     found: list[float] = []
-
-    def bisect(a, fa, b):
-        while b - a > BISECT_TOL:
-            m = 0.5 * (a + b)
-            fm = _dets_minus_id(path, [m])[0]
-            if fa * fm <= 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-        found.append(0.5 * (a + b))
+    # sign-change cells (a, det at a, b), bisected together at the end
+    brackets: list[tuple[float, float, float]] = []
 
     # odd-order zeros: sign changes
     zero_thresh = 1e-13 * scale
@@ -211,7 +227,7 @@ def _locate_crossings(path: SymplecticPath, grid_size: int = 257) -> list[float]
         if d[k] == 0.0 and 0.0 < ts[k] < 1.0:
             found.append(ts[k])
         if d[k] * d[k + 1] < 0.0:
-            bisect(ts[k], d[k], ts[k + 1])
+            brackets.append((ts[k], d[k], ts[k + 1]))
         elif abs(d[k]) <= zero_thresh or abs(d[k + 1]) <= zero_thresh:
             # a cell bordered by an exact zero (typically the identity
             # start) can hide a sign change behind the 0 * x = 0 product;
@@ -220,7 +236,7 @@ def _locate_crossings(path: SymplecticPath, grid_size: int = 257) -> list[float]
             fs = _dets_minus_id(path, sub)
             for j in range(len(sub) - 1):
                 if fs[j] * fs[j + 1] < 0.0:
-                    bisect(sub[j], fs[j], sub[j + 1])
+                    brackets.append((sub[j], fs[j], sub[j + 1]))
 
     # even-order zeros: small |det| local minima without a sign change
     absd = np.abs(d)
@@ -236,7 +252,7 @@ def _locate_crossings(path: SymplecticPath, grid_size: int = 257) -> list[float]
             pair = False
             for j in range(len(sub) - 1):
                 if fs[j] * fs[j + 1] < 0.0:
-                    bisect(sub[j], fs[j], sub[j + 1])
+                    brackets.append((sub[j], fs[j], sub[j + 1]))
                     pair = True
             if pair:
                 continue
@@ -250,6 +266,16 @@ def _locate_crossings(path: SymplecticPath, grid_size: int = 257) -> list[float]
             if 0.0 < t0 < 1.0 and _kernel_of_crossing(path.at(t0)) is not None:
                 found.append(t0)
 
+    if brackets:
+        a, fa, b = (np.array(col) for col in zip(*brackets))
+
+        def left_of(i, mid):
+            fm = _dets_minus_id(path, mid)
+            left = fa[i] * fm <= 0.0
+            fa[i[~left]] = fm[~left]
+            return left
+
+        found.extend(_bisect_together(a, b, left_of).tolist())
     found.sort()
     merged: list[float] = []
     for t in found:
@@ -260,11 +286,10 @@ def _locate_crossings(path: SymplecticPath, grid_size: int = 257) -> list[float]
 
 def _crossing_at(path: SymplecticPath, t: float, is_endpoint: bool) -> Crossing:
     """Crossing form data at a parameter where 1 is an eigenvalue."""
-    M = path.at(t)
+    M, S = _value_and_form(path, t)
     V = _kernel_of_crossing(M)
     if V is None:
         raise IrregularCrossingError("no kernel at reported crossing t=%g" % t)
-    S = symmetric_family_at_path(path, t)
     Q = V.T @ S @ V
     w = np.linalg.eigvalsh(0.5 * (Q + Q.T))
     reg = FORM_REG_TOL * max(1.0, float(np.max(np.abs(w))) if len(w) else 1.0)
@@ -377,7 +402,9 @@ def _windings_all_s(P: SymplecticPath, s_samples: int,
     """Winding (in turns) of t -> Psi(t) v_s for a whole fan of unit vectors.
 
     Antipodal vectors wind equally, so s runs over half the circle.
-    Refines the time grid until every angular jump is below pi/2.
+    Refines the time grid until every angular jump is below pi/2.  The
+    fan is worked through WINDING_BLOCK directions at a time; every
+    direction's result is the same as in one pass over the whole fan.
     """
     ss = np.linspace(0.0, 0.5, s_samples, endpoint=False)
     v0 = np.column_stack([np.cos(2 * np.pi * ss), np.sin(2 * np.pi * ss)])
@@ -385,16 +412,23 @@ def _windings_all_s(P: SymplecticPath, s_samples: int,
     for _ in range(8):
         ts = np.linspace(0.0, 1.0, m)
         mats = P.at_many(ts)  # (m, 2, 2)
-        # Psi(t) v_s for every (t, s), written out so that the two products
-        # are summed in a fixed order (a matmul may reorder them)
-        x = mats[:, 0, 0, None] * v0[:, 0]
-        x += mats[:, 0, 1, None] * v0[:, 1]
-        y = mats[:, 1, 0, None] * v0[:, 0]
-        y += mats[:, 1, 1, None] * v0[:, 1]
-        ang = np.arctan2(y, x)
-        jumps = np.angle(np.exp(1j * np.diff(ang, axis=0)))
-        if np.max(np.abs(jumps)) < 0.5 * np.pi:
-            return np.sum(jumps, axis=0) / (2.0 * np.pi)
+        sums = []
+        # near-equal blocks: a block of one direction would be summed in
+        # another order (pairwise instead of row by row)
+        for v in np.array_split(v0, -(-s_samples // WINDING_BLOCK)):
+            # Psi(t) v_s for every (t, s), written out so that the two
+            # products are summed in a fixed order (a matmul may reorder them)
+            x = mats[:, 0, 0, None] * v[:, 0]
+            x += mats[:, 0, 1, None] * v[:, 1]
+            y = mats[:, 1, 0, None] * v[:, 0]
+            y += mats[:, 1, 1, None] * v[:, 1]
+            ang = np.arctan2(y, x)
+            jumps = np.angle(np.exp(1j * np.diff(ang, axis=0)))
+            if not np.max(np.abs(jumps)) < 0.5 * np.pi:
+                break
+            sums.append(np.sum(jumps, axis=0))
+        else:
+            return np.concatenate(sums) / (2.0 * np.pi)
         if P.matrix_at is None:
             raise ResolutionError("path too coarse for vector winding")
         m = 2 * m - 1
@@ -436,9 +470,10 @@ def cz_winding(P: SymplecticPath, tol: float = 1e-6) -> tuple[IndexValue, Windin
 # extension-degree algorithm (n = 1)
 
 
-def _rotation_sp2(phi: float) -> np.ndarray:
+def _rotations_sp2(phi: np.ndarray) -> np.ndarray:
+    """The rotations by the angles ``phi`` (m,), shape (m, 2, 2)."""
     c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, -s], [s, c]])
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
 def _extension_path_sp2(V: np.ndarray, samples: int) -> SymplecticPath:
@@ -453,18 +488,17 @@ def _extension_path_sp2(V: np.ndarray, samples: int) -> SymplecticPath:
         from scipy.linalg import expm
 
         def shrink(u):
-            return expm(-0.5 * u * logP) @ V
+            return expm((-0.5 * u)[:, None, None] * logP) @ V
 
-        U = shrink(1.0)
+        U = shrink(np.ones(1))[0]
         phi0 = float(np.angle(rho(U))) % (2.0 * np.pi)
         if phi0 < 1e-8 or phi0 > 2.0 * np.pi - 1e-8:
             raise ExtensionError("retracted endpoint lies on the Maslov cycle")
 
-        def call(u):
-            u = float(u)
-            if u <= 0.5:
-                return shrink(2.0 * u)
-            return _rotation_sp2((2.0 - 2.0 * u) * phi0 + (2.0 * u - 1.0) * np.pi)
+        def turn(u):
+            return _rotations_sp2((2.0 - 2.0 * u) * phi0 + (2.0 * u - 1.0) * np.pi)
+
+        call = _stacked(lambda u: _piecewise(u, u <= 0.5, lambda v: shrink(2.0 * v), turn, 2))
 
     else:
         # positive hyperbolic: conjugated eigenvalue interpolation to W-
@@ -489,15 +523,17 @@ def _extension_path_sp2(V: np.ndarray, samples: int) -> SymplecticPath:
         alpha = float(np.arctan2(R[1, 0], R[0, 0]))
         from scipy.linalg import expm
 
+        @_stacked
         def call(u):
-            u = float(u)
             lam_u = np.exp((1.0 - u) * np.log(lam) + u * np.log(2.0))
-            D = np.diag([lam_u, 1.0 / lam_u])
-            Tu = _rotation_sp2((1.0 - u) * alpha) @ expm(0.5 * (1.0 - u) * logP)
+            D = np.zeros((len(u), 2, 2))
+            D[:, 0, 0], D[:, 1, 1] = lam_u, 1.0 / lam_u
+            # T = P^{1/2} R, so Tu runs from T at u = 0 to I at u = 1
+            Tu = expm((0.5 * (1.0 - u))[:, None, None] * logP) @ _rotations_sp2((1.0 - u) * alpha)
             return Tu @ D @ np.linalg.inv(Tu)
 
     ts = np.linspace(0.0, 1.0, samples)
-    mats = np.stack([call(t) for t in ts])
+    mats = call(ts)
     return SymplecticPath(ts, mats, False, False, 1e-7, call)
 
 
@@ -540,14 +576,16 @@ def cz_degree_sp2(P: SymplecticPath, tol: float = 1e-9,
 # spectral flow
 
 
-def _neg_count(M: np.ndarray, cut: float = 0.0) -> int:
-    return int(np.sum(np.linalg.eigvalsh(M) < cut))
+def _neg_counts(mats: np.ndarray) -> np.ndarray:
+    """Number of negative eigenvalues of every matrix of a stack."""
+    return np.sum(np.linalg.eigvalsh(mats) < 0.0, axis=-1)
 
 
 def _family_derivative(A: SymmetricFamily, s: float, h: float = 1e-6) -> np.ndarray:
     s0 = max(A.ts[0], s - h)
     s1 = min(A.ts[-1], s + h)
-    return (A.at(s1) - A.at(s0)) / (s1 - s0)
+    A1, A0 = A.at_many([s1, s0])
+    return (A1 - A0) / (s1 - s0)
 
 
 def spectral_flow_matrix(A: SymmetricFamily, tol: float = 1e-9,
@@ -556,7 +594,8 @@ def spectral_flow_matrix(A: SymmetricFamily, tol: float = 1e-9,
 
     Computed as the sum of crossing-form signatures (form = derivative
     restricted to the kernel) and verified against the difference of
-    negative-eigenvalue counts at the endpoints.
+    negative-eigenvalue counts at the endpoints.  The cells where the
+    count changes are bisected together.
     """
     A.validate()
     ends = np.linalg.eigvalsh(A.at_many([A.ts[0], A.ts[-1]]))
@@ -567,19 +606,14 @@ def spectral_flow_matrix(A: SymmetricFamily, tol: float = 1e-9,
 
     for m in (grid_size, 4 * grid_size):
         ss = np.linspace(A.ts[0], A.ts[-1], m)
-        counts = np.sum(np.linalg.eigvalsh(A.at_many(ss)) < 0.0, axis=-1)
+        counts = _neg_counts(A.at_many(ss))
+        cells = np.flatnonzero(np.diff(counts) != 0)
+        s_stars = _bisect_together(
+            ss[cells], ss[cells + 1],
+            lambda i, mid: _neg_counts(A.at_many(mid)) != counts[cells[i]])
         total = 0
         ok = True
-        for k in np.where(np.diff(counts) != 0)[0]:
-            a, b = ss[k], ss[k + 1]
-            ca = counts[k]
-            while b - a > BISECT_TOL:
-                mid = 0.5 * (a + b)
-                if _neg_count(A.at(mid)) != ca:
-                    b = mid
-                else:
-                    a = mid
-            s_star = 0.5 * (a + b)
+        for s_star in s_stars:
             M = A.at(s_star)
             w, V = np.linalg.eigh(M)
             scale = max(1.0, float(np.max(np.abs(w))))

@@ -20,7 +20,11 @@ matrix per parameter, shape (m, dim, dim), from the exact evaluator
 interpolator shared by ``SymplecticPath`` and ``SymmetricFamily``; ``at(t)``
 is the one-parameter case.  ``rho``, ``unitary_retract`` and
 ``symplecticity_residual`` take a single matrix or a stack (..., 2n, 2n).
-User evaluators ``matrix_at`` stay scalar: one parameter, one matrix.
+
+The evaluators the library builds run on stacks: given a parameter array
+of shape (m,) they return (m, dim, dim), and given a float one matrix, so
+``at_many`` calls them once.  An evaluator supplied by the user is scalar
+(one parameter, one matrix) and is called once per parameter.
 """
 
 from __future__ import annotations
@@ -252,7 +256,10 @@ class SymplecticPath:
     ``mats[k]`` is the sample at parameter ``ts[k]``.  An optional exact
     evaluator ``matrix_at`` enables grid refinement (degree computations,
     crossing bisection); without it, evaluation between samples falls
-    back to linear interpolation of entries.
+    back to linear interpolation of entries.  Evaluators built by the
+    library take a parameter stack (m,) to (m, 2n, 2n) as well as a float
+    to one matrix, and ``at_many`` calls them once; a user evaluator maps
+    one float to one matrix and is called once per parameter.
     """
 
     ts: np.ndarray
@@ -352,7 +359,10 @@ class SymplecticPath:
         mats = np.concatenate([self.mats, other.mats[1:]])
         fa, fb = self.matrix_at, other.matrix_at
         call = None
-        if fa is not None and fb is not None:
+        if _is_stacked(fa) and _is_stacked(fb):
+            call = _stacked(lambda t: _piecewise(t, t <= 0.5, lambda u: fa(2.0 * u),
+                                                 lambda u: fb(2.0 * u - 1.0), self.dim))
+        elif fa is not None and fb is not None:
             call = lambda t: (
                 np.asarray(fa(2.0 * t)) if t <= 0.5 else np.asarray(fb(2.0 * t - 1.0))
             )
@@ -367,13 +377,45 @@ class SymplecticPath:
                           ts=ts, phi=phi)
 
 
+def _stacked(fn):
+    """Mark ``fn``, written for a parameter stack (m,) -> (m, d, d), as a
+    library evaluator; given a float, the evaluator returns one (d, d)
+    matrix, the row of a one-parameter stack."""
+
+    def evaluate(t):
+        if np.ndim(t):
+            return fn(np.asarray(t, dtype=float))
+        return fn(np.array([float(t)]))[0]
+
+    evaluate._stacked = True
+    return evaluate
+
+
+def _is_stacked(matrix_at) -> bool:
+    return getattr(matrix_at, "_stacked", False)
+
+
+def _piecewise(t: np.ndarray, first: np.ndarray, f, g, dim: int) -> np.ndarray:
+    """Stack (m, dim, dim) with rows f(t[first]) where ``first`` holds and
+    g(t[~first]) elsewhere; each piece is called only on a non-empty part."""
+    out = np.empty((len(t), dim, dim))
+    for mask, fn in ((first, f), (~first, g)):
+        if np.any(mask):
+            out[mask] = fn(t[mask])
+    return out
+
+
 def _sample(matrix_at, grid: np.ndarray, mats: np.ndarray, ts) -> np.ndarray:
     """Stack of values at ``ts``: the exact evaluator if any, else interpolation.
 
-    The piecewise-linear interpolation of the samples ``mats`` on ``grid``
-    clamps parameters to the grid's ends and uses the same formula for
-    every parameter, so one row equals a one-parameter call.
+    A library evaluator gets the whole stack in one call, a user evaluator
+    one parameter at a time.  The piecewise-linear interpolation of the
+    samples ``mats`` on ``grid`` clamps parameters to the grid's ends and
+    uses the same formula for every parameter, so one row equals a
+    one-parameter call.
     """
+    if _is_stacked(matrix_at):
+        return np.asarray(matrix_at(np.asarray(ts, dtype=float)), dtype=float)
     if matrix_at is not None:
         return np.stack([np.asarray(matrix_at(float(t)), dtype=float) for t in ts])
     t = np.clip(np.asarray(ts, dtype=float), grid[0], grid[-1])
@@ -390,7 +432,8 @@ def _pointwise(fn, paths, starts_at_identity: bool, closed: bool,
 
     Sampled on ``ts`` (default: the union of the source grids) through
     ``at_many``, unless ``samples`` holds the sources' stacks on ``ts``.
-    The result has an exact evaluator only when every source has one.
+    The result has an exact evaluator only when every source has one; it
+    runs on stacks when every source's does and there is no ``phi``.
     """
     if ts is None:
         ts = reduce(np.union1d, [P.ts for P in paths])
@@ -399,7 +442,13 @@ def _pointwise(fn, paths, starts_at_identity: bool, closed: bool,
         samples = [P.at_many(at) for P in paths]
     calls = [P.matrix_at for P in paths]
     call = None
-    if all(f is not None for f in calls):
+    if phi is None and all(_is_stacked(f) for f in calls):
+
+        @_stacked
+        def call(t):
+            return fn(*(f(t) for f in calls))
+
+    elif all(f is not None for f in calls):
         phi = phi or (lambda t: t)
 
         def call(t):
@@ -413,12 +462,13 @@ def rotation_path(n: int, theta: float, samples: int = 257) -> SymplecticPath:
     """t -> e^{t theta J0} in Sp(2n), sampled on a uniform grid."""
     J = standard_j(n)
 
+    @_stacked
     def call(t):
         c, s = np.cos(theta * t), np.sin(theta * t)
-        return c * np.eye(2 * n) + s * J
+        return c[:, None, None] * np.eye(2 * n) + s[:, None, None] * J
 
     ts = np.linspace(0.0, 1.0, samples)
-    mats = np.stack([call(t) for t in ts])
+    mats = call(ts)
     closed = abs(theta % (2 * np.pi)) < 1e-12 or abs(theta % (2 * np.pi) - 2 * np.pi) < 1e-12
     return SymplecticPath(ts, mats, True, closed, ALGEBRA_TOL, call)
 
@@ -430,25 +480,28 @@ def exp_path(S: np.ndarray, samples: int = 257) -> SymplecticPath:
     S = np.asarray(S, dtype=float)
     n = S.shape[0] // 2
     A = standard_j(n) @ S
-    call = lambda t: expm(t * A)
+    call = _stacked(lambda t: expm(t[:, None, None] * A))
     ts = np.linspace(0.0, 1.0, samples)
-    mats = np.stack([call(t) for t in ts])
+    mats = call(ts)
     return SymplecticPath(ts, mats, True, False, ALGEBRA_TOL, call)
 
 
 def constant_path(M: np.ndarray, samples: int = 2) -> SymplecticPath:
     M = _as_matrix(M)
     ts = np.linspace(0.0, 1.0, samples)
-    mats = np.stack([M] * samples)
-    return SymplecticPath(ts, mats, bool(np.allclose(M, np.eye(len(M)))), True,
-                          ALGEBRA_TOL, lambda t: M)
+    call = _stacked(lambda t: np.repeat(M[None], len(t), axis=0))
+    return SymplecticPath(ts, call(ts), bool(np.allclose(M, np.eye(len(M)))), True,
+                          ALGEBRA_TOL, call)
 
 
 @dataclass
 class SymmetricFamily:
     """Sampled family S(t) of symmetric matrices on a monotone grid.
 
-    For two-parameter families S(s, t) see ``SymmetricFamily2``.
+    The optional exact evaluator ``matrix_at`` follows the contract of
+    ``SymplecticPath``: a library evaluator runs on a parameter stack and
+    on a float, a user evaluator on one float per call.  For
+    two-parameter families S(s, t) see ``SymmetricFamily2``.
     """
 
     ts: np.ndarray
@@ -523,10 +576,12 @@ def cayley_step(A: np.ndarray, h: float, Psi: np.ndarray) -> np.ndarray:
     """One implicit-midpoint step of the linear system Psi' = A Psi.
 
     For a constant A this is the Cayley map (I - h A/2)^{-1} (I + h A/2),
-    which is symplectic whenever A is Hamiltonian.
+    which is symplectic whenever A is Hamiltonian.  A stack of matrices
+    (m, d, d) takes one step per matrix, with ``h`` of shape (m,).
     """
-    eye = np.eye(len(A))
-    return np.linalg.solve(eye - 0.5 * h * A, (eye + 0.5 * h * A) @ Psi)
+    eye = np.eye(A.shape[-1])
+    hA = 0.5 * np.asarray(h)[..., None, None] * A
+    return np.linalg.solve(eye - hA, (eye + hA) @ Psi)
 
 
 def path_from_symmetric(S: SymmetricFamily, steps: int = 256) -> SymplecticPath:
@@ -547,15 +602,18 @@ def path_from_symmetric(S: SymmetricFamily, steps: int = 256) -> SymplecticPath:
 
     h = 1.0 / steps
 
+    @_stacked
     def call(t):
-        t = float(np.clip(t, 0.0, 1.0))
-        k = min(int(t / h), steps)
+        t = np.clip(t, 0.0, 1.0)
+        k = np.minimum((t / h).astype(int), steps)
         Psi = mats[k]
         t0 = ts[k]
-        if t > t0 + 1e-15:
+        sub = t > t0 + 1e-15
+        if np.any(sub):
             # one local midpoint substep from the stored sample keeps the
             # evaluator at the integrator's accuracy
-            Psi = cayley_step(J @ S.at(0.5 * (t0 + t)), t - t0, Psi)
+            t, t0 = t[sub], t0[sub]
+            Psi[sub] = cayley_step(J @ S.at_many(0.5 * (t0 + t)), t - t0, Psi[sub])
         return Psi
 
     return SymplecticPath(ts, mats, True, False, max(ODE_TOL, 10.0 / steps**2), call)
@@ -588,14 +646,20 @@ def recover_symmetric(P: SymplecticPath) -> SymmetricFamily:
     return fam
 
 
-def symmetric_family_at_path(P: SymplecticPath, t: float, h: float = 1e-6) -> np.ndarray:
-    """S(t) at a single parameter via the path evaluator (central difference)."""
+def _value_and_form(P: SymplecticPath, t: float, h: float = 1e-6):
+    """(Psi(t), S(t)) from one evaluation of the path at t + h, t - h and t."""
     J = standard_j(P.n)
     t0 = max(0.0, t - h)
     t1 = min(1.0, t + h)
-    dPsi = (P.at(t1) - P.at(t0)) / (t1 - t0)
-    M = -J @ dPsi @ np.linalg.inv(P.at(t))
-    return 0.5 * (M + M.T)
+    A1, A0, At = P.at_many([t1, t0, t])
+    dPsi = (A1 - A0) / (t1 - t0)
+    M = -J @ dPsi @ np.linalg.inv(At)
+    return At, 0.5 * (M + M.T)
+
+
+def symmetric_family_at_path(P: SymplecticPath, t: float, h: float = 1e-6) -> np.ndarray:
+    """S(t) at a single parameter via the path evaluator (central difference)."""
+    return _value_and_form(P, t, h)[1]
 
 
 def random_symplectic(n: int, rng: np.random.Generator, spread: float = 1.0) -> np.ndarray:
@@ -625,13 +689,14 @@ def random_symmetric_family(
         A = rng.normal(scale=scale / (2 * modes + 1), size=(dim, dim))
         coeffs.append(0.5 * (A + A.T))
 
+    @_stacked
     def call(t):
-        out = coeffs[0].copy()
+        out = np.repeat(coeffs[0][None], len(t), axis=0)
         for m in range(1, modes + 1):
-            out += np.cos(2 * np.pi * m * t) * coeffs[2 * m - 1]
-            out += np.sin(2 * np.pi * m * t) * coeffs[2 * m]
+            out += np.cos(2 * np.pi * m * t)[:, None, None] * coeffs[2 * m - 1]
+            out += np.sin(2 * np.pi * m * t)[:, None, None] * coeffs[2 * m]
         return out
 
     ts = np.linspace(0.0, 1.0, samples)
-    mats = np.stack([call(t) for t in ts])
+    mats = call(ts)
     return SymmetricFamily(ts, mats, ALGEBRA_TOL, call)

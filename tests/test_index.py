@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from symidx.axioms import (
     conjugated_rotation_loop,
@@ -214,6 +215,24 @@ class TestDegreeSp2:
             P = random_admissible_path(rng, 1)
             assert cz_degree_sp2(P).as_int() == cz_rs(P).as_int()
 
+    def test_hyperbolic_extension_starts_at_endpoint(self):
+        rng = np.random.default_rng(52)
+        found = 0
+        for _ in range(30):
+            V = random_admissible_path(rng, 1, 3.0).endpoint()
+            if np.linalg.det(V - np.eye(2)) < 0.0:  # positive hyperbolic
+                ext = index._extension_path_sp2(V, 65)
+                assert np.max(np.abs(ext.at(0.0) - V)) <= 1e-12 * np.linalg.norm(V)
+                assert np.max(np.abs(ext.at(1.0) - np.diag([2.0, 0.5]))) <= 1e-12
+                found += 1
+        assert found >= 5
+
+    def test_hyperbolic_endpoint_at_scale_6(self):
+        # the extension used to start off V, so the concatenated path jumped
+        # at t = 1/2 and phase unwrapping ran out of refinements
+        P = random_admissible_path(np.random.default_rng([77, 60, 10]), 1, 6.0)
+        assert cz_degree_sp2(P).doubled == cz_winding(P)[0].doubled == 0
+
 
 class TestSpectralFlowMatrix:
     def test_single_upward_crossing(self):
@@ -347,6 +366,105 @@ def test_winding_fan_matches_einsum_bit_for_bit(seed):
     P = random_admissible_path(rng, 1, 0.8 + 0.8 * seed)
     got = index._windings_all_s(P, 256)
     assert got.tobytes() == einsum_windings(P, 256).tobytes()
+
+
+def serial_locate_crossings(path, grid_size=257):
+    """Reference crossing scan: each sign-change bracket bisected on its own."""
+    if len(path.ts) >= 129:
+        ts = path.ts
+        d = np.linalg.det(path.mats - np.eye(path.dim))
+    else:
+        ts = np.linspace(0.0, 1.0, grid_size)
+        d = index._dets_minus_id(path, ts)
+    scale = max(1e-12, float(np.max(np.abs(d))))
+    found = []
+
+    def bisect(a, fa, b):
+        while b - a > index.BISECT_TOL:
+            m = 0.5 * (a + b)
+            fm = index._dets_minus_id(path, [m])[0]
+            if fa * fm <= 0.0:
+                b = m
+            else:
+                a, fa = m, fm
+        found.append(0.5 * (a + b))
+
+    for k in range(len(ts) - 1):
+        if d[k] == 0.0 and 0.0 < ts[k] < 1.0:
+            found.append(ts[k])
+        if d[k] * d[k + 1] < 0.0:
+            bisect(ts[k], d[k], ts[k + 1])
+        elif abs(d[k]) <= 1e-13 * scale or abs(d[k + 1]) <= 1e-13 * scale:
+            sub = np.linspace(ts[k], ts[k + 1], 10)[1:-1]
+            fs = index._dets_minus_id(path, sub)
+            for j in range(len(sub) - 1):
+                if fs[j] * fs[j + 1] < 0.0:
+                    bisect(sub[j], fs[j], sub[j + 1])
+    absd = np.abs(d)
+    for k in range(1, len(ts) - 1):
+        if absd[k] <= absd[k - 1] and absd[k] <= absd[k + 1] and absd[k] < 1e-3 * scale:
+            if d[k - 1] * d[k + 1] < 0.0:
+                continue
+            sub = np.linspace(ts[k - 1], ts[k + 1], 65)
+            fs = index._dets_minus_id(path, sub)
+            pair = False
+            for j in range(len(sub) - 1):
+                if fs[j] * fs[j + 1] < 0.0:
+                    bisect(sub[j], fs[j], sub[j + 1])
+                    pair = True
+            if pair:
+                continue
+            res = minimize_scalar(lambda t: abs(index._dets_minus_id(path, [t])[0]),
+                                  bounds=(ts[k - 1], ts[k + 1]), method="bounded",
+                                  options={"xatol": index.BISECT_TOL})
+            t0 = float(res.x)
+            if 0.0 < t0 < 1.0 and index._kernel_of_crossing(path.at(t0)) is not None:
+                found.append(t0)
+    found.sort()
+    merged = []
+    for t in found:
+        if not merged or t - merged[-1] > 1e-8:
+            merged.append(t)
+    return [t for t in merged if 1e-9 < t < 1.0 - 1e-9]
+
+
+def first_cell_loop_product():
+    """A loop times a path, crossing the Maslov cycle inside the first cell.
+
+    The path's generator -4 pi I + diag(t - tau, 1) cancels the rotation
+    loop's 4 pi I up to diag(t - tau, 1), so det(Psi(t) - I) changes sign
+    near t = 2 tau = 1/512, inside the first grid cell [0, 1/256], where
+    only the sub-scan of a cell bordered by a zero determinant finds it.
+    """
+    tau = 0.5 / 512
+    base = -4 * np.pi * np.eye(2)
+    fam = SymmetricFamily(np.array([0.0, 1.0]),
+                          np.stack([base + np.diag([-tau, 1.0]),
+                                    base + np.diag([1.0 - tau, 1.0])]))
+    return rotation_path(1, 4 * np.pi).product(path_from_symmetric(fam, 256))
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (1, 1), (2, 0), (2, 3)])
+def test_one_pass_bisection_matches_serial(n, seed):
+    P = random_admissible_path(np.random.default_rng([seed, 8]), n, 3.0)
+    got = index._locate_crossings(P)
+    assert len(got) >= 2
+    assert got == serial_locate_crossings(P)
+
+
+def test_one_pass_bisection_first_cell_bracket():
+    Q = first_cell_loop_product()
+    got = index._locate_crossings(Q)
+    assert len(got) == 1 and 0.0 < got[0] < Q.ts[1]
+    assert got == serial_locate_crossings(Q)
+
+
+@pytest.mark.parametrize("s_samples", [129, 257])
+def test_winding_fan_blocks_match_einsum(s_samples):
+    # fans that do not fill whole blocks of WINDING_BLOCK directions
+    P = random_admissible_path(np.random.default_rng([0, 4]), 1, 2.4)
+    got = index._windings_all_s(P, s_samples)
+    assert got.tobytes() == einsum_windings(P, s_samples).tobytes()
 
 
 # ---------------------------------------------------------------------------

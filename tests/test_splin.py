@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symidx import axioms, index, splin
 from symidx.errors import (
     AmbiguousClassificationError,
     DimensionError,
@@ -21,6 +22,7 @@ from symidx.splin import (
     random_symplectic,
     recover_symmetric,
     rho,
+    exp_path,
     rotation_path,
     standard_j,
     unitary_retract,
@@ -263,6 +265,80 @@ class TestSymmetricFamilyAtMany:
                 got = F.slice_at(s)
                 assert np.array_equal(got.ts, ts)
                 assert _bits(got.mats) == _bits(ref)
+
+
+def _library_evaluators():
+    """(name, path or family) for every evaluator the library builds."""
+    rng = np.random.default_rng(17)
+    fam = random_symmetric_family(2, rng, samples=33)
+    P = path_from_symmetric(random_symmetric_family(1, rng), steps=64)
+    Q = path_from_symmetric(random_symmetric_family(1, rng), steps=48)
+    R = rotation_path(1, 2.5, samples=65)
+    L = axioms.conjugated_rotation_loop(rng, 1, 2)
+    S = axioms.random_symmetric_bounded(rng, 1)
+    yield "random_symmetric_family", fam
+    yield "constant_family", axioms.constant_family(S)
+    yield "path_from_symmetric", P
+    yield "path_from_constant_family", path_from_symmetric(axioms.constant_family(S), 32)
+    yield "rotation_path", R
+    yield "exp_path", exp_path(S, samples=33)
+    yield "constant_path", constant_path(random_symplectic(1, rng, 0.3), samples=5)
+    yield "conjugated_rotation_loop", L
+    yield "product", L.product(P)
+    yield "inverse", P.inverse()
+    yield "conjugate_by", P.conjugate_by(Q)
+    yield "direct_sum", P.direct_sum(R)
+    yield "concatenate", P.concatenate(R)
+    yield "extension_elliptic", index._extension_path_sp2(np.diag([2.0, 0.5]) @ rot2(2.0), 33)
+    yield "extension_hyperbolic", index._extension_path_sp2(
+        R.at(0.3) @ np.diag([3.0, 1.0 / 3.0]) @ R.at(-0.3), 33)
+
+
+def _scalar_only(t):
+    """A user evaluator that accepts one float and nothing else."""
+    if not isinstance(t, float):
+        raise TypeError("scalar evaluator called with %r" % type(t))
+    return rot2(3.0 * t)
+
+
+class TestEvaluatorContract:
+    # interior points, both ends, the middle and points outside [0, 1]
+    TS = np.array([0.0, 1e-9, 0.123456789, 0.3, 0.5, 0.5 + 1e-12, 0.7, 0.999,
+                   1.0 - 1e-12, 1.0, -0.5, 1.7])
+
+    @pytest.mark.parametrize("name, F", list(_library_evaluators()))
+    def test_stack_equals_pointwise_bit_for_bit(self, name, F):
+        assert splin._is_stacked(F.matrix_at), name
+        ts = np.concatenate([F.ts[::4], self.TS])  # grid nodes first
+        ref = np.stack([F.matrix_at(float(t)) for t in ts])
+        assert _bits(F.at_many(ts)) == _bits(ref)
+        assert _bits(np.stack([F.at(t) for t in ts])) == _bits(ref)
+        assert F.matrix_at(0.25).shape == (F.dim, F.dim)
+        assert F.at(0.25).shape == (F.dim, F.dim)
+
+    def test_user_scalar_evaluator(self):
+        ts = np.linspace(0.0, 1.0, 9)
+        U = SymplecticPath(ts, np.stack([_scalar_only(t) for t in ts]), True, False,
+                           1e-9, _scalar_only)
+        assert not splin._is_stacked(U.matrix_at)
+        ref = np.stack([_scalar_only(float(t)) for t in self.TS])
+        assert _bits(U.at_many(self.TS)) == _bits(ref)
+        R = rotation_path(1, 2.5, samples=33)
+        for C in (U.concatenate(R), R.concatenate(U), U.product(R)):
+            assert not splin._is_stacked(C.matrix_at)
+            ref = np.stack([C.matrix_at(float(t)) for t in self.TS])
+            assert _bits(C.at_many(self.TS)) == _bits(ref)
+        C = R.concatenate(U)
+        assert np.allclose(C.at(0.75), rot2(1.5), atol=1e-15)
+
+    def test_user_scalar_family(self):
+        S = np.array([[1.3, 0.4], [0.4, -0.8]])
+        fam = SymmetricFamily(np.array([0.0, 1.0]), np.stack([S, S]),
+                              matrix_at=lambda t: float(t) * S)
+        P = path_from_symmetric(fam, steps=16)
+        assert splin._is_stacked(P.matrix_at)
+        ref = np.stack([P.matrix_at(float(t)) for t in self.TS])
+        assert _bits(P.at_many(self.TS)) == _bits(ref)
 
 
 class TestPathAlgebra:
