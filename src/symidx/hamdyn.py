@@ -7,6 +7,14 @@ constant-orbit index satisfies CZcan = n - Morse index.
 
 Autonomous systems only.  Phase spaces: the plane R^2, the cylinder
 S^1 x R with a period-1 angle, and R^{2n}.
+
+Trajectories come from one Newton-solved implicit-midpoint step,
+``_midpoint_step``.  In one degree of freedom it iterates on Python
+floats: J = +-J0 is applied as a signed swap and the Jacobian is built
+entry by entry, in the same operations and order as the array kernel
+used for 2n >= 4, so every result has the same bits as that kernel.
+The 2 x 2 solve stays in NumPy's LAPACK ``gesv``: a closed-form solve
+rounds differently, and another LAPACK build differs in the last bits.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from .errors import (
     StepFailureError,
 )
 from .index import cz_rs
-from .splin import SymplecticPath, cayley_step, standard_j
+from .splin import SymplecticPath, cayley_factors, standard_j
 
 PHASE_SPACES = ("plane", "cylinder", "r2n")
 FD_GRAD_STEP = 1e-6
@@ -147,7 +155,38 @@ class Trajectory:
 
 def _midpoint_step(sys: HamiltonianSystem, J: np.ndarray, eye: np.ndarray,
                    z0: np.ndarray, dt: float, t: float) -> np.ndarray:
-    """One implicit-midpoint step z1 = z0 + dt X((z0+z1)/2), X = J grad H, by Newton."""
+    """One implicit-midpoint step z1 = z0 + dt X((z0+z1)/2), X = J grad H, by Newton.
+
+    In one degree of freedom the iteration runs on Python floats, with
+    the same operations in the same order as the array kernel below, so
+    both give the same bits; only the 2 x 2 solve stays in LAPACK.
+    """
+    if len(z0) == 2:
+        # J = s J0 with s = +-1 maps v to (0.0 - s v1, 0.0 + s v0); the 0.0
+        # keeps the signed zeros of NumPy's +0-initialised matmul
+        s = float(J[1, 0])
+        a0, a1 = z0.tolist()
+        v0, v1 = sys.grad(z0).tolist()
+        b0, b1 = a0 + dt * (0.0 - s * v1), a1 + dt * (0.0 + s * v0)  # Euler predictor
+        half = 0.5 * dt
+        for _ in range(NEWTON_MAX_ITER):
+            mid = np.array([0.5 * (a0 + b0), 0.5 * (a1 + b1)])
+            v0, v1 = sys.grad(mid).tolist()
+            r0 = b0 - a0 - dt * (0.0 - s * v1)
+            r1 = b1 - a1 - dt * (0.0 + s * v0)
+            bound = NEWTON_TOL * max(1.0, abs(b0), abs(b1))
+            if abs(r0) < bound and abs(r1) < bound:  # a NaN is not converged
+                return np.array([b0, b1])
+            (h00, h01), (h10, h11) = sys.hess(mid).tolist()
+            Jac = [[1.0 - half * (0.0 - s * h10), 0.0 - half * (0.0 - s * h11)],
+                   [0.0 - half * (0.0 + s * h00), 1.0 - half * (0.0 + s * h01)]]
+            try:
+                d0, d1 = np.linalg.solve(np.array(Jac), np.array([r0, r1])).tolist()
+            except np.linalg.LinAlgError:
+                raise StepFailureError("singular Newton system at t=%g" % t, t)
+            b0, b1 = b0 - d0, b1 - d1
+        raise StepFailureError("midpoint Newton stalled at t=%g" % t, t)
+
     z1 = z0 + dt * (J @ sys.grad(z0))  # explicit Euler predictor
     for _ in range(NEWTON_MAX_ITER):
         mid = 0.5 * (z0 + z1)
@@ -189,6 +228,21 @@ class PeriodicOrbit:
     residual: float
 
 
+def _offset(sys: HamiltonianSystem, z: np.ndarray, anchor: np.ndarray):
+    """(z - anchor, turns).
+
+    On the cylinder the angle difference d is taken as d - round(d),
+    which is exact while |d| < 1/2, and turns = round(d); elsewhere
+    turns is 0.
+    """
+    w = z - anchor
+    if sys.phase_space != "cylinder":
+        return w, 0.0
+    turns = np.rint(w[0])  # NaN-safe, ties to even like round
+    w[0] -= turns
+    return w, turns
+
+
 def _first_return(sys: HamiltonianSystem, z0: np.ndarray, normal: np.ndarray,
                   anchor: np.ndarray, T_guess: float, dt: float):
     """Poincare return of z0 to the section through ``anchor``.
@@ -196,19 +250,28 @@ def _first_return(sys: HamiltonianSystem, z0: np.ndarray, normal: np.ndarray,
     Steps towards 1.6 T_guess, refines each same-direction section
     crossing by a secant solve inside its bracketing step and keeps the
     one closest to T_guess, stopping once no later one can be closer.
+    On the cylinder the section is taken modulo whole turns of the
+    angle, so rotation orbits return to it; a sign change on a step
+    where the turn count changes is the jump of the wrapped angle at
+    half a turn, not a crossing, and is ignored.
     Returns (return point, return time).
     """
     horizon = 1.6 * T_guess
     steps = max(64, int(np.ceil(horizon / dt)))
     h = horizon / steps
     J, eye = sys.J, np.eye(2 * sys.n)
+
+    def section(z):
+        w, turns = _offset(sys, z, anchor)
+        return float(normal @ w), turns
+
     z = z0.copy()
-    prev = float(normal @ (z - anchor))
+    prev, prev_turns = section(z)
     best = None  # (return time, return point, distance to T_guess)
     for k in range(steps):
         z_next = _midpoint_step(sys, J, eye, z, h, k * h)
-        cur = float(normal @ (z_next - anchor))
-        if prev < 0.0 <= cur and k * h > 10 * dt:
+        cur, turns = section(z_next)
+        if prev < 0.0 <= cur and turns == prev_turns and k * h > 10 * dt:
             # same-direction crossing inside (k h, (k+1) h): secant on tau
             a, fa = 0.0, prev
             b, fb = h, cur
@@ -216,7 +279,7 @@ def _first_return(sys: HamiltonianSystem, z0: np.ndarray, normal: np.ndarray,
             for _ in range(60):
                 tau = a - fa * (b - a) / (fb - fa)
                 zm = _midpoint_step(sys, J, eye, za, tau - a, k * h) if tau > a else za
-                fm = float(normal @ (zm - anchor))
+                fm = section(zm)[0]
                 if abs(fm) < 1e-13 or b - a < 1e-14:
                     break
                 if fa * fm <= 0.0:
@@ -229,7 +292,7 @@ def _first_return(sys: HamiltonianSystem, z0: np.ndarray, normal: np.ndarray,
         if best is not None and (k + 1) * h - T_guess >= best[2]:
             break
         z = z_next
-        prev = cur
+        prev, prev_turns = cur, turns
     if best is None:
         raise NoOrbitFoundError("no section return before t = %.3g" % horizon)
     return best[1], best[0]
@@ -275,7 +338,7 @@ def find_periodic_orbit(sys: HamiltonianSystem, z_guess, T_guess: float,
         if np.linalg.norm(g) < shoot_tol:
             traj = _flow(sys, point, T, max(64, int(np.ceil(T / dt))))
             return PeriodicOrbit(point, float(T), traj,
-                                 float(np.linalg.norm(traj.zs[-1] - point)))
+                                 float(np.linalg.norm(_offset(sys, traj.zs[-1], point)[0])))
         F = E.T @ g
         hfd = 1e-6 * max(1.0, float(np.max(np.abs(y))))
         Jc = np.empty((dim - 1, dim - 1))
@@ -308,10 +371,12 @@ def monodromy_and_cz(sys: HamiltonianSystem, orbit: PeriodicOrbit,
     zs = orbit.trajectory.zs
     h = orbit.period / (len(zs) - 1)
     J, eye = sys.J, np.eye(2 * sys.n)
+    Hs = np.array([sys.hess(mid) for mid in 0.5 * (zs[:-1] + zs[1:])])
+    L, R = cayley_factors(J @ Hs, h)
     Ms = np.empty((len(zs),) + eye.shape)
     Ms[0] = eye
     for k in range(len(zs) - 1):
-        Ms[k + 1] = cayley_step(J @ sys.hess(0.5 * (zs[k] + zs[k + 1])), h, Ms[k])
+        Ms[k + 1] = np.linalg.solve(L[k], R[k] @ Ms[k])
     path = SymplecticPath(np.linspace(0.0, 1.0, len(zs)), Ms, True, False, 1e-6)
     path.validate(check_samples=False)
     nondeg = abs(np.linalg.det(path.endpoint() - eye)) > tol

@@ -572,6 +572,18 @@ class SymmetricFamily2:
         return SymmetricFamily(ts, mats, max(a.tol, b.tol))
 
 
+def cayley_factors(A: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
+    """(I - h A/2, I + h A/2), the two factors of the Cayley map of h A.
+
+    A stack of matrices (m, d, d) gives stacks of factors, with ``h`` a
+    float or of shape (m,).  Sequential loops build all their factors
+    with one call and then take each step as ``solve(L[k], R[k] @ Psi)``.
+    """
+    eye = np.eye(A.shape[-1])
+    hA = 0.5 * np.asarray(h)[..., None, None] * A
+    return eye - hA, eye + hA
+
+
 def cayley_step(A: np.ndarray, h: float, Psi: np.ndarray) -> np.ndarray:
     """One implicit-midpoint step of the linear system Psi' = A Psi.
 
@@ -579,9 +591,8 @@ def cayley_step(A: np.ndarray, h: float, Psi: np.ndarray) -> np.ndarray:
     which is symplectic whenever A is Hamiltonian.  A stack of matrices
     (m, d, d) takes one step per matrix, with ``h`` of shape (m,).
     """
-    eye = np.eye(A.shape[-1])
-    hA = 0.5 * np.asarray(h)[..., None, None] * A
-    return np.linalg.solve(eye - hA, (eye + hA) @ Psi)
+    L, R = cayley_factors(A, h)
+    return np.linalg.solve(L, R @ Psi)
 
 
 def path_from_symmetric(S: SymmetricFamily, steps: int = 256) -> SymplecticPath:
@@ -594,11 +605,11 @@ def path_from_symmetric(S: SymmetricFamily, steps: int = 256) -> SymplecticPath:
         raise ParameterError("need at least 2 integration steps")
     J = standard_j(S.dim // 2)
     ts = np.linspace(0.0, 1.0, steps + 1)
-    As = J @ S.at_many(0.5 * (ts[:-1] + ts[1:]))
+    L, R = cayley_factors(J @ S.at_many(0.5 * (ts[:-1] + ts[1:])), np.diff(ts))
     mats = np.empty((steps + 1, S.dim, S.dim))
     mats[0] = np.eye(S.dim)
     for k in range(steps):
-        mats[k + 1] = cayley_step(As[k], ts[k + 1] - ts[k], mats[k])
+        mats[k + 1] = np.linalg.solve(L[k], R[k] @ mats[k])
 
     h = 1.0 / steps
 

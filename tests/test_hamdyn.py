@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from symidx import hamdyn
-from symidx.errors import NoOrbitFoundError, ParameterError
+from symidx import hamdyn, io
+from symidx.errors import NoOrbitFoundError, ParameterError, StepFailureError
 from symidx.hamdyn import (
     HamiltonianSystem,
     PeriodicOrbit,
@@ -17,6 +18,7 @@ from symidx.hamdyn import (
     prime_period,
     twist_fixed_points,
 )
+from symidx.splin import cayley_step
 
 
 def standard_map(eps):
@@ -166,6 +168,213 @@ class TestPeriodicOrbit:
             _, nondeg, idx = monodromy_and_cz(sys, orbit)
             assert nondeg
             assert idx["canonical"].as_int() == 1 - morse
+
+
+def rotation_period(E):
+    """Period of the pendulum rotation orbit of energy E > 1 (one turn)."""
+    return quad(lambda q: 1.0 / math.sqrt(2.0 * (E - math.cos(2 * math.pi * q))), 0.0, 1.0,
+                epsabs=1e-13, epsrel=1e-13)[0]
+
+
+class TestCylinderOrbits:
+    @pytest.mark.parametrize("j_structure, z", [
+        ("standard", [0.0, 3.0]), ("standard", [0.2, -2.5]),
+        ("canonical", [0.2, 3.0]),
+    ])
+    def test_rotation_orbit_is_found(self, j_structure, z):
+        # the angle grows by one per turn; the section is taken modulo turns
+        sys = pendulum_system(j_structure)
+        orbit = find_periodic_orbit(sys, np.array(z), 0.34)
+        exact = rotation_period(sys.hamiltonian(orbit.z0))
+        assert abs(orbit.period - exact) < 2e-6  # O(dt^2) at dt = 1e-3
+        assert orbit.residual < 1e-7
+        assert abs(abs(orbit.trajectory.zs[-1, 0] - orbit.z0[0]) - 1.0) < 1e-7
+
+    def test_rotation_period_converges_like_dt_squared(self):
+        sys = pendulum_system()
+        exact = rotation_period(sys.hamiltonian(np.array([0.0, 3.0])))
+        coarse = find_periodic_orbit(sys, np.array([0.0, 3.0]), 0.34, dt=2e-3)
+        fine = find_periodic_orbit(sys, np.array([0.0, 3.0]), 0.34, dt=1e-3)
+        assert 3.0 < abs(coarse.period - exact) / abs(fine.period - exact) < 5.0
+
+    def test_libration_started_off_its_turning_point(self):
+        # through the center with speed 0.3, and from the turning point of
+        # the same energy: one orbit, one period
+        sys = pendulum_system()
+        E = 0.5 * 0.3**2 - 1.0
+        q_turn = 1.0 - math.acos(E) / (2 * math.pi)
+        moving = find_periodic_orbit(sys, np.array([0.5, 0.3]), 1.0)
+        resting = find_periodic_orbit(sys, np.array([q_turn, 0.0]), 1.0)
+        assert abs(moving.period - resting.period) < 1e-8
+        assert moving.residual < 1e-7
+
+    def test_wide_libration_ignores_the_half_turn_jump(self):
+        # from (0.5, 1.8) the angle swings over more than half a turn
+        orbit = find_periodic_orbit(pendulum_system(), np.array([0.5, 1.8]), 1.2)
+        zs = orbit.trajectory.zs
+        assert zs[:, 0].max() - zs[:, 0].min() > 0.5
+        assert orbit.residual < 1e-7 and 1.2 < orbit.period < 1.6
+
+
+# The array Newton kernel that the one-degree-of-freedom float kernel
+# replaced; it is still the kernel for 2n >= 4.
+def reference_midpoint_step(sys, J, eye, z0, dt, t):
+    z1 = z0 + dt * (J @ sys.grad(z0))
+    for _ in range(hamdyn.NEWTON_MAX_ITER):
+        mid = 0.5 * (z0 + z1)
+        g = z1 - z0 - dt * (J @ sys.grad(mid))
+        if np.abs(g).max() < hamdyn.NEWTON_TOL * max(1.0, np.abs(z1).max()):
+            return z1
+        Jac = eye - 0.5 * dt * (J @ sys.hess(mid))
+        try:
+            z1 = z1 - np.linalg.solve(Jac, g)
+        except np.linalg.LinAlgError:
+            raise StepFailureError("singular Newton system at t=%g" % t, t)
+    raise StepFailureError("midpoint Newton stalled at t=%g" % t, t)
+
+
+# The per-step Cayley loop that precomputed factors replaced.
+def reference_monodromy(sys, orbit):
+    zs = orbit.trajectory.zs
+    h = orbit.period / (len(zs) - 1)
+    J = sys.J
+    Ms = [np.eye(2 * sys.n)]
+    for k in range(len(zs) - 1):
+        Ms.append(cayley_step(J @ sys.hess(0.5 * (zs[k] + zs[k + 1])), h, Ms[-1]))
+    return np.array(Ms)
+
+
+def same_bits(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def both_kernels(monkeypatch, run):
+    """run() with the current kernel, then with the reference kernel; a
+    step failure gives its message."""
+    def outcome():
+        try:
+            return run()
+        except StepFailureError as e:
+            return str(e)
+
+    new = outcome()
+    with monkeypatch.context() as m:
+        m.setattr(hamdyn, "_midpoint_step", reference_midpoint_step)
+        old = outcome()
+    return new, old
+
+
+def quartic_system(j_structure="standard"):
+    """H = y^2/2 + x^4/4 - x^2/2 on the plane, derivatives by differences."""
+    return HamiltonianSystem(lambda z: 0.5 * z[1] ** 2 + 0.25 * z[0] ** 4 - 0.5 * z[0] ** 2,
+                             j_structure=j_structure)
+
+
+def coupled_polynomial_system(j_structure="standard"):
+    # H = (x1^2 + y1^2)/2 + (x2^2 + y2^2)/sqrt(2) + x1^2 x2 / 10, z = (x1, x2, y1, y2)
+    c = 1.0 / math.sqrt(2.0)
+    return io.load_system({
+        "phase_space": "r2n", "j_convention": j_structure,
+        "hamiltonian": {"polynomial": {"n": 2, "terms": [
+            {"coeff": 0.5, "powers": [2, 0, 0, 0]}, {"coeff": 0.5, "powers": [0, 0, 2, 0]},
+            {"coeff": c, "powers": [0, 2, 0, 0]}, {"coeff": c, "powers": [0, 0, 0, 2]},
+            {"coeff": 0.1, "powers": [2, 1, 0, 0]},
+        ]}}})
+
+
+class TestKernelsBitForBit:
+    """The float kernel and the precomputed Cayley factors change no bit."""
+
+    @pytest.mark.parametrize("j_structure", ["standard", "canonical"])
+    @pytest.mark.parametrize("scale", [1.0, -0.7])
+    def test_pendulum_trajectories(self, monkeypatch, j_structure, scale):
+        sys = pendulum_system(j_structure, scale)
+        for z0 in ([0.3, 0.2], [0.0, 0.0], [-0.0, -0.0], [0.5, -0.0], [-0.0, 1.0]):
+            new, old = both_kernels(
+                monkeypatch, lambda: integrate(sys, np.array(z0), 1.5, 1e-3).zs)
+            assert same_bits(new, old), z0
+
+    @pytest.mark.parametrize("make", [harmonic_system, quartic_system])
+    @pytest.mark.parametrize("j_structure", ["standard", "canonical"])
+    def test_plane_trajectories(self, monkeypatch, make, j_structure):
+        # the quartic stalls from (-0, 0.7): its differenced gradient is
+        # too coarse for the Newton tolerance; both kernels stall alike
+        sys = make(j_structure)
+        for z0 in ([1.0, -0.0], [-0.0, 0.7], [0.0, 0.0]):
+            new, old = both_kernels(
+                monkeypatch, lambda: integrate(sys, np.array(z0), 2.0, 1e-3).zs)
+            assert same_bits(new, old), z0
+
+    @pytest.mark.parametrize("j_structure", ["standard", "canonical"])
+    def test_coupled_polynomial_trajectory(self, monkeypatch, j_structure):
+        sys = coupled_polynomial_system(j_structure)
+        z0 = np.array([0.5, 0.2, -0.0, 0.1])
+        new, old = both_kernels(monkeypatch, lambda: integrate(sys, z0, 0.5, 1e-3).zs)
+        assert same_bits(new, old)
+        traj = hamdyn.Trajectory(np.linspace(0.0, 0.5, len(new)), new)
+        orbit = PeriodicOrbit(z0, 0.5, traj, 0.0)
+        path, _, _ = monodromy_and_cz(sys, orbit)
+        assert same_bits(path.mats, reference_monodromy(sys, orbit))
+
+    @pytest.mark.parametrize("j_structure", ["standard", "canonical"])
+    @pytest.mark.parametrize("sys_args, z, T", [
+        (("harmonic",), [1.1, 0.1], 6.0),
+        (("pendulum", 1.0), [0.6, 0.0], 1.1),
+        (("pendulum", -0.7), [0.45, -0.0], 1.3),
+        (("pendulum", 0.05), [0.0, 0.0], 1.0),
+        (("pendulum", 1.0), [0.0, 3.0], 0.34),
+    ])
+    def test_orbits_and_monodromy(self, monkeypatch, j_structure, sys_args, z, T):
+        if sys_args[0] == "harmonic":
+            sys = harmonic_system(j_structure)
+        else:
+            sys = pendulum_system(j_structure, sys_args[1])
+        new, old = both_kernels(
+            monkeypatch, lambda: find_periodic_orbit(sys, np.array(z), T))
+        assert same_bits(new.trajectory.zs, old.trajectory.zs)
+        assert same_bits([new.period, new.residual], [old.period, old.residual])
+        path, _, _ = monodromy_and_cz(sys, new)
+        assert same_bits(path.mats, reference_monodromy(sys, new))
+
+    @pytest.mark.parametrize("j_structure", ["standard", "canonical"])
+    @pytest.mark.parametrize("gradient", [
+        lambda z: np.array([np.nan, 1.0]),
+        lambda z: np.array([1.0, np.inf]),
+        lambda z: np.array([-np.inf, 0.0]),
+        # finite until y has moved by 0.05 from its start
+        lambda z: np.array([1.0, np.inf if abs(z[1] - 0.45) > 0.05 else 0.0]),
+        lambda z: np.array([1.0, np.nan if abs(z[1] - 0.45) > 0.05 else z[0]]),
+    ])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_gradient_fails_as_before(self, monkeypatch, j_structure, gradient):
+        sys = HamiltonianSystem(lambda z: 0.0, gradient=gradient,
+                                hessian=lambda z: np.eye(2), j_structure=j_structure)
+        msgs = []
+        for step in (hamdyn._midpoint_step, reference_midpoint_step):
+            monkeypatch.setattr(hamdyn, "_midpoint_step", step)
+            with pytest.raises(StepFailureError) as err:
+                integrate(sys, np.array([0.3, 0.45]), 1.0, 0.01)
+            msgs.append((str(err.value), err.value.t))
+        assert msgs[0] == msgs[1]
+
+    @pytest.mark.parametrize("j_structure", ["standard", "canonical"])
+    def test_singular_newton_system_fails_as_before(self, monkeypatch, j_structure):
+        # Hess = diag(2/dt, -2/dt) makes I - dt/2 J Hess = [[1, -+1], [-+1, 1]]
+        dt = 0.25
+        sys = HamiltonianSystem(
+            lambda z: (z[0] ** 2 - z[1] ** 2) / dt,
+            gradient=lambda z: np.array([2.0 * z[0], -2.0 * z[1]]) / dt,
+            hessian=lambda z: np.diag([2.0 / dt, -2.0 / dt]), j_structure=j_structure)
+        msgs = []
+        for step in (hamdyn._midpoint_step, reference_midpoint_step):
+            monkeypatch.setattr(hamdyn, "_midpoint_step", step)
+            with pytest.raises(StepFailureError) as err:
+                integrate(sys, np.array([1.0, 0.5]), 1.0, dt)
+            msgs.append(str(err.value))
+        assert msgs[0] == msgs[1] == "singular Newton system at t=0"
 
 
 class TestPrimePeriod:

@@ -202,6 +202,55 @@ class TestPathFromSymmetric:
         assert e2 < e1 / 2.5  # second-order integrator
 
 
+# The per-step Cayley loop that precomputed factors replaced.
+def reference_cayley_step(A, h, Psi):
+    eye = np.eye(A.shape[-1])
+    hA = 0.5 * np.asarray(h)[..., None, None] * A
+    return np.linalg.solve(eye - hA, (eye + hA) @ Psi)
+
+
+def reference_path_samples(S, steps):
+    J = standard_j(S.dim // 2)
+    ts = np.linspace(0.0, 1.0, steps + 1)
+    As = J @ S.at_many(0.5 * (ts[:-1] + ts[1:]))
+    mats = np.empty((steps + 1, S.dim, S.dim))
+    mats[0] = np.eye(S.dim)
+    for k in range(steps):
+        mats[k + 1] = reference_cayley_step(As[k], ts[k + 1] - ts[k], mats[k])
+    return mats
+
+
+class TestCayleyFactorsBitForBit:
+    @pytest.mark.parametrize("n, steps, samples", [(1, 64, 33), (2, 48, 17), (3, 16, 9)])
+    def test_path_from_symmetric_samples(self, n, steps, samples):
+        # with the exact evaluator, and interpolated from its samples
+        exact = random_symmetric_family(n, np.random.default_rng(40 + n), samples=samples)
+        for fam in (exact, SymmetricFamily(exact.ts, exact.mats)):
+            P = path_from_symmetric(fam, steps)
+            ref = reference_path_samples(fam, steps)
+            assert P.mats.tobytes() == ref.tobytes()
+
+    def test_sampled_family_with_signed_zeros(self):
+        S = np.array([[[1.0, -0.0], [-0.0, -2.0]], [[0.0, 0.5], [0.5, -0.0]]])
+        fam = SymmetricFamily(np.array([0.0, 1.0]), S)
+        P = path_from_symmetric(fam, 32)
+        assert P.mats.tobytes() == reference_path_samples(fam, 32).tobytes()
+
+    def test_stacked_step_and_evaluator(self):
+        rng = np.random.default_rng(7)
+        fam = random_symmetric_family(2, rng)
+        J = standard_j(2)
+        ts = rng.uniform(0.0, 1.0, 9)
+        A = J @ fam.at_many(ts)
+        Psi = np.stack([random_symplectic(2, rng) for _ in ts])
+        h = rng.uniform(0.0, 0.01, 9)
+        assert splin.cayley_step(A, h, Psi).tobytes() == \
+            reference_cayley_step(A, h, Psi).tobytes()
+        for k in range(len(ts)):
+            assert splin.cayley_step(A[k], h[k], Psi[k]).tobytes() == \
+                reference_cayley_step(A[k], h[k], Psi[k]).tobytes()
+
+
 class TestRecoverSymmetric:
     def test_rotation(self):
         P = rotation_path(1, 1.0, samples=513)
