@@ -72,6 +72,18 @@ class TestIndexCommand:
         iv = json.loads(out)["result"]["winding_interval"]
         assert abs(iv["lower"] - 0.25) < 1e-6
 
+    def test_sf_sampled_cubic_family(self, capsys, tmp_path):
+        # A(s) = diag((s - 1/2)^3, 1) on 2001 samples: near s = 1/2 the
+        # interpolated eigenvalue has slope about 1e-6, so the crossing is
+        # nearly degenerate, but the ends fix the flow at 1
+        ss = np.linspace(0.0, 1.0, 2001)
+        fam = SymmetricFamily(ss, np.stack([np.diag([(s - 0.5) ** 3, 1.0]) for s in ss]))
+        f = tmp_path / "cubic.json"
+        f.write_text(json.dumps(dump_family(fam)))
+        code, out = run(capsys, ["index", "sf", "--input", str(f)])
+        assert code == 0
+        assert json.loads(out)["result"]["spectral_flow"] == 1
+
     def test_degenerate_endpoint_is_domain_error(self, capsys, full_loop):
         code, out = run(capsys, ["index", "cz", "--input", full_loop])
         assert code == 1

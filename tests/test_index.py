@@ -269,6 +269,35 @@ class TestSpectralFlowMatrix:
             spectral_flow_matrix(fam)
 
 
+def first_entry_family(f):
+    """diag(f(s), 1) with its exact evaluator."""
+    return SymmetricFamily(
+        np.array([0.0, 1.0]),
+        np.stack([np.diag([f(0.0), 1.0]), np.diag([f(1.0), 1.0])]),
+        matrix_at=lambda s: np.diag([f(s), 1.0]),
+    )
+
+
+class TestSpectralFlowEndpointInertia:
+    """The flow is n_-(A(0)) - n_-(A(1)), however the crossings look."""
+
+    def test_cubic_crossing(self):
+        # crossing form 0 at s = 1/2, yet the eigenvalue changes sign once
+        assert spectral_flow_matrix(first_entry_family(lambda s: (s - 0.5) ** 3)) == 1
+
+    def test_tangential_touch(self):
+        assert spectral_flow_matrix(first_entry_family(lambda s: (s - 0.5) ** 2)) == 0
+
+    def test_close_pair_inside_one_cell(self):
+        # two sign changes 2e-4 apart, well inside one cell of a 1025-point grid
+        fam = first_entry_family(lambda s: (s - 0.5001) * (s - 0.5003))
+        assert spectral_flow_matrix(fam) == 0
+
+    def test_singular_end_still_rejected(self):
+        with pytest.raises(EndpointDegenerateError):
+            spectral_flow_matrix(first_entry_family(lambda s: s ** 3))
+
+
 def theta_interpolation_family(theta0, theta1, n=1):
     ss = np.linspace(0.0, 1.0, 5)
     slices = []
@@ -315,34 +344,90 @@ class TestLoopOperatorSF:
             done += 1
 
 
+def fourier_basis(cutoff, grid):
+    """Orthonormal real trig basis values on the uniform grid, (grid, 2K+1)."""
+    t = np.arange(grid) / grid
+    cols = [np.ones(grid)]
+    for k in range(1, cutoff + 1):
+        cols.append(np.sqrt(2.0) * np.cos(2 * np.pi * k * t))
+        cols.append(np.sqrt(2.0) * np.sin(2 * np.pi * k * t))
+    return np.column_stack(cols)
+
+
+def derivative_pairing(cutoff):
+    """G[a, b] = integral of phi_a phi_b' over the period (antisymmetric)."""
+    nb = 2 * cutoff + 1
+    G = np.zeros((nb, nb))
+    for k in range(1, cutoff + 1):
+        c, s = 2 * k - 1, 2 * k
+        G[c, s] = 2 * np.pi * k   # <cos_k, d/dt sin_k>
+        G[s, c] = -2 * np.pi * k
+    return G
+
+
 def einsum_loop_operator(S_slice, cutoff, grid=None):
     """Reference assembly: the whole S term as one three-operand einsum."""
     dim = S_slice.dim
     if grid is None:
         grid = max(256, 8 * cutoff)
-    B = index._fourier_basis(cutoff, grid)
+    B = fourier_basis(cutoff, grid)
     Svals = np.stack([S_slice.at(t) for t in np.arange(grid) / grid])
-    term1 = -np.kron(index._derivative_pairing(cutoff), standard_j(dim // 2))
+    term1 = -np.kron(derivative_pairing(cutoff), standard_j(dim // 2))
     term2 = -np.einsum("ma,mb,mij->aibj", B, B, Svals).reshape(
         B.shape[1] * dim, B.shape[1] * dim) / grid
     M = term1 + term2
     return 0.5 * (M + M.T)
 
 
+def loop_test_families(n, cutoff):
+    fam = random_symmetric_family(n, np.random.default_rng([n, cutoff]), samples=33)
+    # a sampled family that is symmetric only to 1e-9, as loaded files are
+    noise = 1e-9 * np.random.default_rng(3).normal(size=fam.mats.shape)
+    return fam, SymmetricFamily(fam.ts, fam.mats + noise)
+
+
 class TestTruncatedLoopOperator:
     @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("cutoff", [2, 5])
+    @pytest.mark.parametrize("cutoff", [2, 5, 32])
     def test_matches_einsum_reference(self, n, cutoff):
-        fam = random_symmetric_family(n, np.random.default_rng([n, cutoff]), samples=33)
-        # a sampled family that is symmetric only to 1e-9, as loaded files are
-        noise = 1e-9 * np.random.default_rng(3).normal(size=fam.mats.shape)
-        sampled = SymmetricFamily(fam.ts, fam.mats + noise)
-        for F in (fam, sampled):
+        # grid 37 is coarser than the cutoff's frequencies: at cutoff 32
+        # the sums k + l wrap around the grid, and the assembly must alias
+        # exactly as the direct quadrature does
+        for F in loop_test_families(n, cutoff):
             for grid in (None, 37):
                 got = truncated_loop_operator(F, cutoff, grid)
                 ref = einsum_loop_operator(F, cutoff, grid)
                 assert got.shape == ref.shape == ((2 * cutoff + 1) * 2 * n,) * 2
                 assert np.max(np.abs(got - ref)) <= 1e-13
+                assert np.array_equal(got, got.T)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("cutoff", [2, 16, 32])
+    def test_cutoff_block_of_doubled_operator_bit_for_bit(self, n, cutoff):
+        size = (2 * cutoff + 1) * 2 * n
+        for F in loop_test_families(n, cutoff):
+            big = truncated_loop_operator(F, 2 * cutoff)
+            small = truncated_loop_operator(F, cutoff, grid=max(256, 16 * cutoff))
+            assert big[:size, :size].tobytes() == small.tobytes()
+
+    def test_cached_tables_are_read_only(self):
+        truncated_loop_operator(loop_test_families(1, 4)[0], 4)
+        for table in index._gram_tables(4, 256):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+
+    def test_one_assembly_per_end(self, monkeypatch):
+        calls = []
+        real = index.truncated_loop_operator
+
+        def counted(S_slice, cutoff, grid=None):
+            calls.append((cutoff, grid))
+            return real(S_slice, cutoff, grid)
+
+        monkeypatch.setattr(index, "truncated_loop_operator", counted)
+        assert loop_operator_spectral_flow(theta_interpolation_family(0.7, 0.7), 8) == 0
+        assert calls == [(16, None), (16, None)]
 
 
 def einsum_windings(P, s_samples, t_samples=513):
