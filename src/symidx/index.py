@@ -67,6 +67,7 @@ FORM_REG_TOL = 1e-6  # crossing-form eigenvalues below this (relative)
 #                      make the crossing irregular
 PERTURB_DELTAS = tuple(1e-4 * 0.5**k for k in range(8))
 WINDING_BLOCK = 128  # fan directions per pass: keeps the (t, s) arrays in cache
+WINDING_TOL = 1e-9  # turns: directions this close to an extreme are summed exactly
 
 
 @dataclass(frozen=True)
@@ -403,47 +404,145 @@ def crossing_report(P: SymplecticPath) -> CrossingReport:
 # winding-interval algorithm (n = 1)
 
 
+def _sample_count(name: str, count) -> int:
+    """``count`` if it is an integer >= 2, else a ParameterError."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 2:
+        raise ParameterError("%s must be an integer >= 2, got %r" % (name, count))
+    return int(count)
+
+
+def _fan_directions(s_samples: int) -> np.ndarray:
+    """Unit vectors v_s at angles 2 pi s, s on [0, 1/2): shape (s_samples, 2)."""
+    ss = np.linspace(0.0, 0.5, s_samples, endpoint=False)
+    return np.column_stack([np.cos(2 * np.pi * ss), np.sin(2 * np.pi * ss)])
+
+
+def _fan_grids(P: SymplecticPath, t_samples: int = 513):
+    """Path samples on time grids of 2^k (m - 1) + 1 points, m = max(t_samples,
+    len(P.ts)); the next grid is taken when the previous one was too coarse."""
+    m = max(t_samples, len(P.ts))
+    for level in range(8):
+        if level and P.matrix_at is None:
+            raise ResolutionError("path too coarse for vector winding")
+        yield P.at_many(np.linspace(0.0, 1.0, m))  # (m, 2, 2)
+        m = 2 * m - 1
+    raise ResolutionError("vector winding did not stabilize")
+
+
+def _fan_sums(mats: np.ndarray, v0: np.ndarray) -> Optional[np.ndarray]:
+    """Summed angular jumps (radians) of t -> Psi(t) v for every row v of
+    ``v0``, or None if a jump is not below pi/2.
+
+    The directions are worked through WINDING_BLOCK at a time; every
+    direction's sum has the same bits in any block of two or more.
+    """
+    sums = []
+    # near-equal blocks: a block of one direction would be summed in
+    # another order (pairwise instead of row by row)
+    for v in np.array_split(v0, -(-len(v0) // WINDING_BLOCK)):
+        # Psi(t) v_s for every (t, s), written out so that the two
+        # products are summed in a fixed order (a matmul may reorder them)
+        x = mats[:, 0, 0, None] * v[:, 0]
+        x += mats[:, 0, 1, None] * v[:, 1]
+        y = mats[:, 1, 0, None] * v[:, 0]
+        y += mats[:, 1, 1, None] * v[:, 1]
+        ang = np.arctan2(y, x)
+        jumps = np.angle(np.exp(1j * np.diff(ang, axis=0)))
+        if not np.max(np.abs(jumps)) < 0.5 * np.pi:
+            return None
+        sums.append(np.sum(jumps, axis=0))
+    return np.concatenate(sums)
+
+
 def _windings_all_s(P: SymplecticPath, s_samples: int,
                     t_samples: int = 513) -> np.ndarray:
     """Winding (in turns) of t -> Psi(t) v_s for a whole fan of unit vectors.
 
     Antipodal vectors wind equally, so s runs over half the circle.
-    Refines the time grid until every angular jump is below pi/2.  The
-    fan is worked through WINDING_BLOCK directions at a time; every
-    direction's result is the same as in one pass over the whole fan.
+    Refines the time grid until every angular jump is below pi/2.  This
+    is the full fan: the reference for ``winding_interval`` and what it
+    computes on a grid that fails the turning certificate.
     """
-    ss = np.linspace(0.0, 0.5, s_samples, endpoint=False)
-    v0 = np.column_stack([np.cos(2 * np.pi * ss), np.sin(2 * np.pi * ss)])
-    m = max(t_samples, len(P.ts))
-    for _ in range(8):
-        ts = np.linspace(0.0, 1.0, m)
-        mats = P.at_many(ts)  # (m, 2, 2)
-        sums = []
-        # near-equal blocks: a block of one direction would be summed in
-        # another order (pairwise instead of row by row)
-        for v in np.array_split(v0, -(-s_samples // WINDING_BLOCK)):
-            # Psi(t) v_s for every (t, s), written out so that the two
-            # products are summed in a fixed order (a matmul may reorder them)
-            x = mats[:, 0, 0, None] * v[:, 0]
-            x += mats[:, 0, 1, None] * v[:, 1]
-            y = mats[:, 1, 0, None] * v[:, 0]
-            y += mats[:, 1, 1, None] * v[:, 1]
-            ang = np.arctan2(y, x)
-            jumps = np.angle(np.exp(1j * np.diff(ang, axis=0)))
-            if not np.max(np.abs(jumps)) < 0.5 * np.pi:
-                break
-            sums.append(np.sum(jumps, axis=0))
-        else:
-            return np.concatenate(sums) / (2.0 * np.pi)
-        if P.matrix_at is None:
-            raise ResolutionError("path too coarse for vector winding")
-        m = 2 * m - 1
-    raise ResolutionError("vector winding did not stabilize")
+    v0 = _fan_directions(s_samples)
+    for mats in _fan_grids(P, t_samples):
+        sums = _fan_sums(mats, v0)
+        if sums is not None:
+            return sums / (2.0 * np.pi)
+
+
+def _turns_certified(mats: np.ndarray) -> bool:
+    """Whether every direction turns by less than 60 degrees on every step
+    of the grid, with the fan's rounding far inside WINDING_TOL.
+
+    With M_k = Psi(t_{k+1}) adj Psi(t_k), a positive multiple of
+    Psi(t_{k+1}) Psi(t_k)^-1 when det Psi(t_k) > 0, the angle from u to
+    M_k u is at most arccos(lambda_min(sym M_k) / |M_k|_F), so
+    lambda_min > |M_k|_F / 2 bounds the turn by 60 degrees.  A computed
+    angle of Psi v is within about 4 eps |Psi|_F^2 / det Psi of the exact
+    one, and summing m jumps adds m eps times their total size: together
+    a first-order bound on the rounding of every fan sum and of the
+    end-angle estimate.  NaN steps fail every comparison.
+    """
+    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    det = a * d - b * c
+    m00 = a[1:] * d[:-1] - b[1:] * c[:-1]
+    m01 = b[1:] * a[:-1] - a[1:] * b[:-1]
+    m10 = c[1:] * d[:-1] - d[1:] * c[:-1]
+    m11 = d[1:] * a[:-1] - c[1:] * b[:-1]
+    lam_min = 0.5 * (m00 + m11) - np.hypot(0.5 * (m00 - m11), 0.5 * (m01 + m10))
+    fro = np.sqrt(m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11)
+    if not (np.all(det > 0.0) and np.all(lam_min > 0.5 * fro)):
+        return False
+    cond = np.sum((a * a + b * b + c * c + d * d) / det)
+    turns = np.sum(np.arccos(np.minimum(lam_min / fro, 1.0)))
+    err = np.finfo(float).eps * (32.0 * cond + len(mats) * turns)
+    # the extreme directions are found if err is below WINDING_TOL / 4
+    return bool(err < 0.5 * np.pi * WINDING_TOL)
+
+
+def _extreme_directions(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
+    """Indices of the directions whose winding is within WINDING_TOL of the
+    fan's least or greatest, estimated from the grid's ends.
+
+    On a certified grid the winding is continuous in s and equals a
+    constant plus Lambda_1(s) - Lambda_0(s), the lifts in s of the angles
+    of Psi(1) v_s and Psi(0) v_s.
+    """
+    ends = mats[[0, -1]]
+    x = ends[:, 0, 0, None] * v0[:, 0] + ends[:, 0, 1, None] * v0[:, 1]
+    y = ends[:, 1, 0, None] * v0[:, 0] + ends[:, 1, 1, None] * v0[:, 1]
+    lift = np.unwrap(np.arctan2(y, x), axis=1)
+    est = lift[1] - lift[0]
+    tol = 2.0 * np.pi * WINDING_TOL
+    return np.flatnonzero((est <= est.min() + tol) | (est >= est.max() - tol))
 
 
 def winding_interval(P: SymplecticPath, s_samples: int = 1024) -> tuple[float, float]:
-    vals = _windings_all_s(P, s_samples)
-    return float(np.min(vals)), float(np.max(vals))
+    """Least and greatest winding (in turns) over the fan of ``s_samples``
+    directions: the min and max of ``_windings_all_s(P, s_samples)``, bit
+    for bit.
+
+    On each time grid of the fan a certificate (``_turns_certified``)
+    checks that every direction turns by less than 60 degrees per step and
+    that the grid is well conditioned.  Then the fan would stop at this
+    grid and its windings are continuous in s, so the lift of the grid's
+    end angles locates the extreme directions to within rounding
+    (``_extreme_directions``), and the fan's own block kernel sums just
+    those, in a block of two or more directions.  Each direction's sum
+    does not depend on which other directions share its block, so the
+    result keeps the full fan's bits.  A grid that fails the certificate
+    (NaN, fast-turning or ill-conditioned steps) runs the full fan.
+    """
+    v0 = _fan_directions(_sample_count("s_samples", s_samples))
+    for mats in _fan_grids(P):
+        if _turns_certified(mats):
+            v = v0[_extreme_directions(mats, v0)]
+        else:
+            v = v0
+        sums = _fan_sums(mats, v)
+        if sums is not None:
+            vals = sums / (2.0 * np.pi)
+            return float(np.min(vals)), float(np.max(vals))
 
 
 def cz_winding(P: SymplecticPath, tol: float = 1e-6) -> tuple[IndexValue, WindingInterval]:
@@ -482,19 +581,26 @@ def _rotations_sp2(phi: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
+def _spd_powers(w: np.ndarray, Q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Q diag(w^c_i) Q^T for every exponent c_i: the powers of the positive
+    definite Q diag(w) Q^T, shape (len(c), 2, 2)."""
+    return (Q * w ** c[:, None, None]) @ Q.T
+
+
 def _extension_path_sp2(V: np.ndarray, samples: int) -> SymplecticPath:
-    """Path in Sp(2)* from V to the normal form W+ or W- of its component."""
+    """Path in Sp(2)* from V to the normal form W+ or W- of its component.
+
+    Both branches move along the powers of a positive definite matrix,
+    taken in closed form from its eigendecomposition.
+    """
     d = float(np.linalg.det(V - np.eye(2)))
     if d > 0.0:
         # elliptic or negative hyperbolic: polar-shrink to a rotation,
         # then rotate the angle to pi inside (0, 2 pi)
-        P = V @ V.T
-        w, Q = np.linalg.eigh(P)
-        logP = (Q * np.log(w)) @ Q.T
-        from scipy.linalg import expm
+        w, Q = np.linalg.eigh(V @ V.T)
 
         def shrink(u):
-            return expm((-0.5 * u)[:, None, None] * logP) @ V
+            return _spd_powers(w, Q, -0.5 * u) @ V
 
         U = shrink(np.ones(1))[0]
         phi0 = float(np.angle(rho(U))) % (2.0 * np.pi)
@@ -520,14 +626,11 @@ def _extension_path_sp2(V: np.ndarray, samples: int) -> SymplecticPath:
         v_vec = v_vec / det  # now det [u | v] = 1, so the basis is in Sp(2)
         T = np.column_stack([u_vec, v_vec])
         # polar data of T for the basis shrink T(u) -> I inside SL(2)
-        P = T @ T.T
-        wP, Q = np.linalg.eigh(P)
-        logP = (Q * np.log(wP)) @ Q.T
+        wP, Q = np.linalg.eigh(T @ T.T)
         R = np.linalg.solve(
             (Q * np.sqrt(wP)) @ Q.T, T
         )  # rotation part, det +1
         alpha = float(np.arctan2(R[1, 0], R[0, 0]))
-        from scipy.linalg import expm
 
         @_stacked
         def call(u):
@@ -535,7 +638,7 @@ def _extension_path_sp2(V: np.ndarray, samples: int) -> SymplecticPath:
             D = np.zeros((len(u), 2, 2))
             D[:, 0, 0], D[:, 1, 1] = lam_u, 1.0 / lam_u
             # T = P^{1/2} R, so Tu runs from T at u = 0 to I at u = 1
-            Tu = expm((0.5 * (1.0 - u))[:, None, None] * logP) @ _rotations_sp2((1.0 - u) * alpha)
+            Tu = _spd_powers(wP, Q, 0.5 * (1.0 - u)) @ _rotations_sp2((1.0 - u) * alpha)
             return Tu @ D @ np.linalg.inv(Tu)
 
     ts = np.linspace(0.0, 1.0, samples)
@@ -550,8 +653,10 @@ def cz_degree_sp2(P: SymplecticPath, tol: float = 1e-9,
     Extends the path inside the endpoint's nondegenerate component to
     W+ = -I or W- = diag(2, 1/2) and returns the degree of rho^2 along
     the extended path.  The extension is verified post hoc to keep
-    det(Psi(t) - I) away from zero.
+    det(Psi(t) - I) away from zero, on ``ext_samples`` samples (an
+    integer >= 2) and then on four times as many.
     """
+    ext_samples = _sample_count("ext_samples", ext_samples)
     P.validate()
     if P.n != 1:
         raise DimensionError("extension-degree algorithm is Sp(2) only")

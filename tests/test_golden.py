@@ -18,6 +18,9 @@ a golden value is a correct value and not only a recorded one.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,7 @@ from symidx.io import dump_family, dump_path, file_digest
 from symidx.splin import SymmetricFamily, random_symmetric_family
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def make_input(spec: dict) -> dict:
@@ -87,3 +91,27 @@ def test_cli_result_matches_golden(name, tmp_path, capsys):
     doc, digest = run_case(case, tmp_path, capsys)
     assert digest == case.get("digest"), "the generated input changed"
     assert canonical(doc["result"]) == canonical(case["result"])
+
+
+def run_module(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m symidx argv`` in a fresh interpreter, with src/ on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "symidx", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_symidx_prints_the_in_process_document(tmp_path, capsys):
+    case = CASES["winding-path-n1-seed15"]
+    doc, _ = run_case(case, tmp_path, capsys)
+    proc = run_module(list(case["argv"]) + ["--input", str(tmp_path / "input.json")])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert canonical(json.loads(proc.stdout)["result"]) == canonical(case["result"])
+
+
+def test_python_m_symidx_bad_flag_is_a_usage_error():
+    proc = run_module(["--format", "xml", "axioms"])
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["error"] == "usage"

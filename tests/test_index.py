@@ -13,6 +13,7 @@ from symidx.errors import (
     DimensionError,
     EndpointDegenerateError,
     InvalidPathError,
+    ParameterError,
     ResolutionError,
 )
 from symidx.index import (
@@ -550,6 +551,147 @@ def test_winding_fan_blocks_match_einsum(s_samples):
     P = random_admissible_path(np.random.default_rng([0, 4]), 1, 2.4)
     got = index._windings_all_s(P, s_samples)
     assert got.tobytes() == einsum_windings(P, s_samples).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# winding interval from the endpoint lift; extension by closed-form powers
+
+
+def sampled(P, m):
+    """P's values on m uniform samples, without an evaluator."""
+    ts = np.linspace(0.0, 1.0, m)
+    return SymplecticPath(ts, P.at_many(ts), True, False, P.tol, None)
+
+
+def loop_product(seed):
+    """A conjugated rotation loop of -3..3 turns times an admissible path."""
+    g = np.random.default_rng([seed, 6])
+    L = conjugated_rotation_loop(g, 1, int(g.integers(-3, 4)))
+    return L.product(random_admissible_path(g, 1, 2.0))
+
+
+def winding_cases():
+    for scale in (0.8, 1.6, 2.4, 3.0, 4.0, 6.0):
+        g = np.random.default_rng([int(10 * scale), 12])
+        for i in range(6):
+            yield "scale %g #%d" % (scale, i), random_admissible_path(g, 1, scale)
+    g = np.random.default_rng([5, 12])
+    for i in range(3):
+        P = random_admissible_path(g, 1, 1.0 + 1.5 * i)
+        for m in (129, 193, 1025):
+            yield "sampled %d #%d" % (m, i), sampled(P, m)
+    for theta in (0.5, np.pi / 2, 7.0, 12.0):
+        yield "rotation %g" % theta, rotation_path(1, theta)
+    g = np.random.default_rng([6, 12])
+    for i in range(6):
+        yield "exp #%d" % i, exp_path(random_symmetric_bounded(g, 1, 3.0 * (1 + i % 4)))
+    for seed in (0, 1, 32, 92):
+        yield "loop product %d" % seed, loop_product(seed)
+
+
+def test_winding_interval_is_min_max_of_full_fan_bit_for_bit():
+    for name, P in winding_cases():
+        vals = index._windings_all_s(P, 1024)
+        expect = float(np.min(vals)), float(np.max(vals))
+        got = winding_interval(P)
+        assert [v.hex() for v in got] == [v.hex() for v in expect], name
+
+
+@pytest.mark.parametrize("seed", [32, 92])
+def test_loop_products_fail_the_certificate_and_keep_the_fan(seed):
+    P = loop_product(seed)
+    assert not index._turns_certified(P.at_many(np.linspace(0.0, 1.0, 513)))
+    vals = index._windings_all_s(P, 1024)
+    assert winding_interval(P) == (float(np.min(vals)), float(np.max(vals)))
+
+
+def test_certified_path_sums_only_extreme_directions(monkeypatch):
+    P = random_admissible_path(np.random.default_rng([16, 12]), 1, 1.6)
+    vals = index._windings_all_s(P, 1024)
+    widths = []
+    real = index._fan_sums
+
+    def counted(mats, v0):
+        widths.append(len(v0))
+        return real(mats, v0)
+
+    monkeypatch.setattr(index, "_fan_sums", counted)
+    assert winding_interval(P) == (float(np.min(vals)), float(np.max(vals)))
+    assert len(widths) == 1 and 2 <= widths[0] <= 4
+
+
+def test_coarse_sampled_path_raises_the_fan_error():
+    # the interpolant from I to -diag(2, 1/2) is singular at t = 1/6 and
+    # flips the direction (1, 0)
+    W = -np.diag([2.0, 0.5])
+    P = SymplecticPath(np.array([0.0, 0.5, 1.0]), np.stack([np.eye(2), W, W]),
+                       True, False, 1e-9, None)
+    with pytest.raises(ResolutionError) as fan:
+        index._windings_all_s(P, 1024)
+    with pytest.raises(ResolutionError) as got:
+        winding_interval(P)
+    assert str(got.value) == str(fan.value) == "path too coarse for vector winding"
+
+
+def test_two_directions_are_enough():
+    P = random_admissible_path(np.random.default_rng([17, 12]), 1, 2.4)
+    vals = index._windings_all_s(P, 2)
+    assert winding_interval(P, 2) == (float(np.min(vals)), float(np.max(vals)))
+
+
+@pytest.mark.parametrize("s_samples", [0, -3, 2.5, 1, True])
+def test_winding_interval_rejects_bad_sample_counts(s_samples):
+    with pytest.raises(ParameterError, match="s_samples"):
+        winding_interval(rotation_path(1, np.pi / 2), s_samples)
+
+
+@pytest.mark.parametrize("ext_samples", [-1, 0, 1, 2.5])
+def test_cz_degree_rejects_bad_sample_counts(ext_samples):
+    with pytest.raises(ParameterError, match="ext_samples"):
+        cz_degree_sp2(rotation_path(1, np.pi / 2), ext_samples=ext_samples)
+
+
+@pytest.mark.parametrize("scale", [3.0, 4.0, 6.0])
+def test_winding_and_degree_agree_at_large_scales(scale):
+    rng = np.random.default_rng([int(scale), 40])
+    for _ in range(40):
+        P = random_admissible_path(rng, 1, scale)
+        assert cz_winding(P)[0].doubled == cz_degree_sp2(P).doubled
+
+
+def test_spd_powers_match_expm_of_the_log():
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(12)
+    c = np.array([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0])
+    for _ in range(20):
+        V = random_admissible_path(rng, 1, 3.0).endpoint()
+        w, Q = np.linalg.eigh(V @ V.T)
+        ref = expm(c[:, None, None] * ((Q * np.log(w)) @ Q.T))
+        err = np.max(np.abs(index._spd_powers(w, Q, c) - ref), axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.max(np.abs(ref), axis=(1, 2)))
+
+
+def test_spectral_flow_matrix_on_non_periodic_families():
+    # A0 + s (A1 - A0) + s (1 - s) B: the ends differ, so flows are not all 0
+    rng = np.random.default_rng(1211)
+    flows = []
+    for n in (1, 2, 3):
+        for _ in range(20):
+            A0, A1, B = (0.5 * (X + X.T) for X in rng.normal(size=(3, 2 * n, 2 * n)))
+
+            def at(s, A0=A0, A1=A1, B=B):
+                return A0 + s * (A1 - A0) + s * (1.0 - s) * B
+
+            fam = SymmetricFamily(np.array([0.0, 1.0]), np.stack([at(0.0), at(1.0)]),
+                                  matrix_at=at)
+            w0, w1 = np.linalg.eigvalsh(fam.at(0.0)), np.linalg.eigvalsh(fam.at(1.0))
+            if min(np.min(np.abs(w0)), np.min(np.abs(w1))) < 1e-3:
+                continue
+            flows.append(spectral_flow_matrix(fam))
+            assert flows[-1] == int(np.sum(w0 < 0) - np.sum(w1 < 0))
+    assert len(flows) >= 50
+    assert sum(f != 0 for f in flows) >= 20
 
 
 # ---------------------------------------------------------------------------
