@@ -16,7 +16,6 @@ from .splin import (
     rho,
     rotation_path,
     standard_j,
-    unitary_retract,
 )
 from .index import (
     IndexValue,

@@ -42,8 +42,8 @@ def c1_from_clutching(D: ClutchingData) -> int:
 def c1_lagrangian_loop(L: SymplecticPath, tol: float = 1e-7) -> int:
     """Maslov index of a loop preserving a Lagrangian subbundle: always 0.
 
-    Precondition: rho is real along the loop (the retracted unitary form
-    has negligible Y block determinant phase).  A nonzero degree under
+    Precondition: rho is real along the loop (det(X + iY) of the
+    complex-linear part has negligible phase).  A nonzero degree under
     this precondition would be an internal inconsistency and is raised.
     """
     if not L.closed:

@@ -30,7 +30,7 @@ from .errors import (
     StepFailureError,
 )
 from .index import cz_rs
-from .splin import SymplecticPath, cayley_factors, standard_j
+from .splin import SymplecticPath, cayley_flow, standard_j
 
 PHASE_SPACES = ("plane", "cylinder", "r2n")
 FD_GRAD_STEP = 1e-6
@@ -372,12 +372,8 @@ def monodromy_and_cz(sys: HamiltonianSystem, orbit: PeriodicOrbit,
     h = orbit.period / (len(zs) - 1)
     J, eye = sys.J, np.eye(2 * sys.n)
     Hs = np.array([sys.hess(mid) for mid in 0.5 * (zs[:-1] + zs[1:])])
-    L, R = cayley_factors(J @ Hs, h)
-    Ms = np.empty((len(zs),) + eye.shape)
-    Ms[0] = eye
-    for k in range(len(zs) - 1):
-        Ms[k + 1] = np.linalg.solve(L[k], R[k] @ Ms[k])
-    path = SymplecticPath(np.linspace(0.0, 1.0, len(zs)), Ms, True, False, 1e-6)
+    path = SymplecticPath(np.linspace(0.0, 1.0, len(zs)), cayley_flow(J @ Hs, h),
+                          True, False, 1e-6)
     path.validate(check_samples=False)
     nondeg = abs(np.linalg.det(path.endpoint() - eye)) > tol
     if not nondeg:

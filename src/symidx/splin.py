@@ -18,8 +18,8 @@ Paths and families are evaluated on stacks: ``at_many(ts)`` returns one
 matrix per parameter, shape (m, dim, dim), from the exact evaluator
 ``matrix_at`` when there is one and otherwise from one piecewise-linear
 interpolator shared by ``SymplecticPath`` and ``SymmetricFamily``; ``at(t)``
-is the one-parameter case.  ``rho``, ``unitary_retract`` and
-``symplecticity_residual`` take a single matrix or a stack (..., 2n, 2n).
+is the one-parameter case.  ``rho`` and ``symplecticity_residual`` take
+a single matrix or a stack (..., 2n, 2n).
 
 The evaluators the library builds run on stacks: given a parameter array
 of shape (m,) they return (m, dim, dim), and given a float one matrix, so
@@ -59,14 +59,19 @@ def standard_j(n: int) -> np.ndarray:
     return J
 
 
-def symplecticity_residual(M: np.ndarray) -> float:
-    """max-norm of M^T J0 M - J0, over every matrix of a stack (..., 2n, 2n)."""
-    M = np.asarray(M, dtype=float)
+def _half_side(M: np.ndarray) -> int:
+    """n for a matrix or stack (..., 2n, 2n); DimensionError for any other shape."""
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DimensionError("expected a square matrix, got shape %s" % (M.shape,))
     if M.shape[-1] % 2:
         raise DimensionError("symplectic matrices have even side, got %d" % M.shape[-1])
-    J = standard_j(M.shape[-1] // 2)
+    return M.shape[-1] // 2
+
+
+def symplecticity_residual(M: np.ndarray) -> float:
+    """max-norm of M^T J0 M - J0, over every matrix of a stack (..., 2n, 2n)."""
+    M = np.asarray(M, dtype=float)
+    J = standard_j(_half_side(M))
     return float(np.max(np.abs(np.swapaxes(M, -1, -2) @ J @ M - J)))
 
 
@@ -105,34 +110,27 @@ def _as_matrix(M) -> np.ndarray:
     return np.asarray(M, dtype=float)
 
 
-def unitary_retract(M) -> np.ndarray:
-    """Project M in Sp(2n) onto Sp(2n) cap O(2n) via (M M^T)^{-1/2} M.
+def rho(M):
+    """The circle-valued map: the phase of det(X + iY), where
+    [[X, -Y], [Y, X]] = (M - J0 M J0) / 2 is the complex-linear part of M.
 
-    The square root is taken through the symmetric eigendecomposition of
-    the positive definite M M^T, which is unconditionally stable here.
-    A stack (..., 2n, 2n) is retracted matrix by matrix.
+    For the polar split M = P U of a symplectic M this part is
+    (P + P^-1)/2 U, whose Hermitian factor has every eigenvalue >= 1: the
+    phase is det_C(U) and |det(X + iY)| >= 1, with no factorization.  A
+    modulus below 1/2 or not finite raises ``NotSymplecticError``.  A
+    complex number for one matrix, an array of them for a stack.
     """
     M = _as_matrix(M)
-    P = M @ np.swapaxes(M, -1, -2)
-    w, V = np.linalg.eigh(P)
-    if np.min(w) <= 0:
-        raise NotSymplecticError("M M^T is not positive definite")
-    return (V * (1.0 / np.sqrt(w))[..., None, :]) @ np.swapaxes(V, -1, -2) @ M
-
-
-def rho(M, tol: float = ALGEBRA_TOL):
-    """The circle-valued map: retract to U(n), then det(X + iY).
-
-    A complex number for one matrix, an array of them for a stack.
-    """
-    U = unitary_retract(M)
-    n = U.shape[-1] // 2  # U = [[X, -Y], [Y, X]]
-    val = np.linalg.det(U[..., :n, :n] + 1j * U[..., n:, :n])
+    n = _half_side(M)  # M = [[A, B], [C, D]]: X = (A + D)/2, Y = (C - B)/2
+    A, B = M[..., :n, :n], M[..., :n, n:]
+    C, D = M[..., n:, :n], M[..., n:, n:]
+    with np.errstate(invalid="ignore"):  # a NaN entry raises below instead
+        val = np.linalg.det(0.5 * (A + D) + 0.5j * (C - B))
     mag = np.abs(val)
-    off = np.flatnonzero(np.abs(mag - 1.0) > max(1e-5, tol * 1e2))
-    if len(off):
-        raise NotSymplecticError("rho landed off the unit circle: |rho| = %.6f"
-                                 % np.ravel(mag)[off[0]])
+    bad = np.flatnonzero(~(np.isfinite(mag) & (mag >= 0.5)))
+    if len(bad):
+        raise NotSymplecticError("|det(X + iY)| = %.6g, where a symplectic M has >= 1"
+                                 % np.ravel(mag)[bad[0]])
     # divide the parts separately: the complex-by-real division rounds
     # differently from a real division
     out = val.real / mag + 1j * (val.imag / mag)
@@ -418,12 +416,16 @@ def _sample(matrix_at, grid: np.ndarray, mats: np.ndarray, ts) -> np.ndarray:
         return np.asarray(matrix_at(np.asarray(ts, dtype=float)), dtype=float)
     if matrix_at is not None:
         return np.stack([np.asarray(matrix_at(float(t)), dtype=float) for t in ts])
+    k, w = _bracket(grid, ts)
+    return (1.0 - w[:, None, None]) * mats[k] + w[:, None, None] * mats[k + 1]
+
+
+def _bracket(grid: np.ndarray, ts):
+    """Cell k (grid[k] <= t <= grid[k + 1], ends clamped) and weight of each t."""
     t = np.clip(np.asarray(ts, dtype=float), grid[0], grid[-1])
-    k = np.searchsorted(grid, t, side="right") - 1
-    k = np.minimum(np.maximum(k, 0), len(grid) - 2)
+    k = np.minimum(np.maximum(np.searchsorted(grid, t, side="right") - 1, 0), len(grid) - 2)
     t0, t1 = grid[k], grid[k + 1]
-    w = np.divide(t - t0, t1 - t0, out=np.zeros_like(t), where=t1 != t0)[:, None, None]
-    return (1.0 - w) * mats[k] + w * mats[k + 1]
+    return k, np.divide(t - t0, t1 - t0, out=np.zeros_like(t), where=t1 != t0)
 
 
 def _pointwise(fn, paths, starts_at_identity: bool, closed: bool,
@@ -557,11 +559,7 @@ class SymmetricFamily2:
 
     def slice_at(self, s: float) -> SymmetricFamily:
         """Linear interpolation between neighbouring s slices on a merged grid."""
-        s = float(np.clip(s, self.ss[0], self.ss[-1]))
-        k = int(np.searchsorted(self.ss, s, side="right")) - 1
-        k = min(max(k, 0), len(self.ss) - 2)
-        s0, s1 = self.ss[k], self.ss[k + 1]
-        w = 0.0 if s1 == s0 else (s - s0) / (s1 - s0)
+        (k,), (w,) = _bracket(self.ss, [s])
         a, b = self.slices[k], self.slices[k + 1]
         ts = np.union1d(a.ts, b.ts)
         if w == 0.0 or w == 1.0:
@@ -576,8 +574,7 @@ def cayley_factors(A: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
     """(I - h A/2, I + h A/2), the two factors of the Cayley map of h A.
 
     A stack of matrices (m, d, d) gives stacks of factors, with ``h`` a
-    float or of shape (m,).  Sequential loops build all their factors
-    with one call and then take each step as ``solve(L[k], R[k] @ Psi)``.
+    float or of shape (m,).
     """
     eye = np.eye(A.shape[-1])
     hA = 0.5 * np.asarray(h)[..., None, None] * A
@@ -595,6 +592,18 @@ def cayley_step(A: np.ndarray, h: float, Psi: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L, R @ Psi)
 
 
+def cayley_flow(A: np.ndarray, h) -> np.ndarray:
+    """Samples (m + 1, d, d) of Psi' = A(t) Psi, Psi(0) = I, by one Cayley
+    step per generator of the stack A (m, d, d), with ``h`` a float or of
+    shape (m,); the factors of all steps are built in one call."""
+    L, R = cayley_factors(A, h)
+    mats = np.empty((len(A) + 1,) + A.shape[1:])
+    mats[0] = np.eye(A.shape[-1])
+    for k in range(len(A)):
+        mats[k + 1] = np.linalg.solve(L[k], R[k] @ mats[k])
+    return mats
+
+
 def path_from_symmetric(S: SymmetricFamily, steps: int = 256) -> SymplecticPath:
     """Integrate Psi' = J0 S(t) Psi, Psi(0) = I, by the implicit midpoint rule.
 
@@ -605,12 +614,7 @@ def path_from_symmetric(S: SymmetricFamily, steps: int = 256) -> SymplecticPath:
         raise ParameterError("need at least 2 integration steps")
     J = standard_j(S.dim // 2)
     ts = np.linspace(0.0, 1.0, steps + 1)
-    L, R = cayley_factors(J @ S.at_many(0.5 * (ts[:-1] + ts[1:])), np.diff(ts))
-    mats = np.empty((steps + 1, S.dim, S.dim))
-    mats[0] = np.eye(S.dim)
-    for k in range(steps):
-        mats[k + 1] = np.linalg.solve(L[k], R[k] @ mats[k])
-
+    mats = cayley_flow(J @ S.at_many(0.5 * (ts[:-1] + ts[1:])), np.diff(ts))
     h = 1.0 / steps
 
     @_stacked
@@ -666,11 +670,6 @@ def _value_and_form(P: SymplecticPath, t: float, h: float = 1e-6):
     dPsi = (A1 - A0) / (t1 - t0)
     M = -J @ dPsi @ np.linalg.inv(At)
     return At, 0.5 * (M + M.T)
-
-
-def symmetric_family_at_path(P: SymplecticPath, t: float, h: float = 1e-6) -> np.ndarray:
-    """S(t) at a single parameter via the path evaluator (central difference)."""
-    return _value_and_form(P, t, h)[1]
 
 
 def random_symplectic(n: int, rng: np.random.Generator, spread: float = 1.0) -> np.ndarray:

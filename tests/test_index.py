@@ -71,6 +71,15 @@ class TestMaslov:
         with pytest.raises(InvalidPathError):
             maslov_loop(rotation_path(1, 1.0))
 
+    @pytest.mark.parametrize("seed, n, turns, doubled", [
+        ([3, 57], 3, (3, 3), 36),         # 18 + 18, norms where rho used to raise
+        ([603, 0, 2, 0], 2, (1, 3), 16),  # 4 + 12, sample norms up to 1169
+    ])
+    def test_ill_conditioned_loop_products(self, seed, n, turns, doubled):
+        g = np.random.default_rng(seed)
+        L1, L2 = (conjugated_rotation_loop(g, n, k) for k in turns)
+        assert maslov_loop(L1.product(L2)).doubled == doubled
+
     def test_undersampled_without_evaluator(self):
         P = rotation_path(1, 2 * np.pi, samples=4)
         P.matrix_at = None

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from symidx.errors import (
     AmbiguousClassificationError,
     DimensionError,
     InvalidPathError,
+    NotSymplecticError,
     ParameterError,
 )
 from symidx.splin import (
@@ -25,7 +28,6 @@ from symidx.splin import (
     exp_path,
     rotation_path,
     standard_j,
-    unitary_retract,
 )
 
 
@@ -55,30 +57,6 @@ class TestIsSymplectic:
             SymplecticMatrix(np.diag([2.0, 2.0]))
 
 
-class TestUnitaryRetract:
-    def test_rotation_fixed(self):
-        R = rot2(0.7)
-        assert np.allclose(unitary_retract(R), R, atol=1e-12)
-
-    def test_diagonal(self):
-        # (M M^T)^{-1/2} M for M = diag(2, 1/2) is the identity
-        assert np.allclose(unitary_retract(np.diag([2.0, 0.5])), np.eye(2), atol=1e-12)
-
-    def test_random_lands_in_unitary_group(self):
-        rng = np.random.default_rng(7)
-        for n in (1, 2, 3):
-            M = random_symplectic(n, rng)
-            U = unitary_retract(M)
-            assert is_symplectic(U, tol=1e-9)
-            assert np.max(np.abs(U @ U.T - np.eye(2 * n))) < 1e-9
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(11)
-        M = random_symplectic(2, rng)
-        U = unitary_retract(M)
-        assert np.allclose(unitary_retract(U), U, atol=1e-9)
-
-
 class TestRho:
     def test_rotation(self):
         for theta in (0.3, 1.2, 2.9, 4.4):
@@ -101,6 +79,57 @@ class TestRho:
         for n in (1, 2, 3):
             val = rho(random_symplectic(n, rng))
             assert abs(abs(val) - 1.0) < 1e-9
+
+
+def polar_rho(M):
+    """rho through the orthogonal polar factor W V^T of the SVD M = W S V^T."""
+    n = len(M) // 2
+    W, _, Vt = np.linalg.svd(M)
+    U = W @ Vt
+    val = np.linalg.det(U[:n, :n] + 1j * U[n:, :n])
+    return val / abs(val)
+
+
+class TestRhoComplexLinearPart:
+    def test_matches_the_polar_factor(self):
+        for n in (1, 2, 3, 4):
+            for spread in (0.5, 1.0, 1.5):
+                rng = np.random.default_rng([n, int(10 * spread)])
+                for _ in range(25):
+                    M = random_symplectic(n, rng, spread)
+                    bound = 1e-14 * max(1.0, np.linalg.norm(M, 2))
+                    assert abs(rho(M) - polar_rho(M)) < bound
+
+    def test_ill_conditioned_draw_stays_on_the_circle(self):
+        # norm 1187: the eigendecomposition of M M^T left |rho| = 0.999967
+        M = random_symplectic(4, np.random.default_rng(7153827))
+        assert np.linalg.norm(M, 2) > 1000
+        assert abs(abs(rho(M)) - 1.0) <= 1e-15
+
+    def test_stack_equals_each_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        for n in (1, 2, 3):
+            Ms = np.stack([random_symplectic(n, rng, 1.2) for _ in range(9)])
+            each = np.array([rho(M) for M in Ms])
+            assert rho(Ms).tobytes() == each.tobytes()
+
+    def test_odd_or_non_square_input_raises_dimension_error(self):
+        for M in (np.eye(3), np.ones((2, 4)), np.ones(4)):
+            with pytest.raises(DimensionError):
+                rho(M)
+
+    def test_non_symplectic_input_raises(self):
+        # complex-linear part 0: det(X + iY) = 0
+        with pytest.raises(NotSymplecticError):
+            rho(np.diag([1.0, -1.0]))
+
+    def test_nan_entry_raises_without_warning(self):
+        M = np.eye(4)
+        M[1, 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotSymplecticError):
+                rho(M)
 
 
 class TestClassify:
