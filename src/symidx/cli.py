@@ -11,6 +11,7 @@ seeds produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -262,7 +263,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError("%s: %s" % (self.prog, message))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    building it costs ten times as much as one parse."""
     p = _Parser(prog="symidx")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--output", type=str, default=None)

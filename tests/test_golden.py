@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from symidx import axioms
-from symidx.cli import main
+from symidx.cli import _build_parser, main
 from symidx.io import dump_family, dump_path, file_digest
 from symidx.splin import SymmetricFamily, random_symmetric_family
 
@@ -115,3 +115,32 @@ def test_python_m_symidx_bad_flag_is_a_usage_error():
     proc = run_module(["--format", "xml", "axioms"])
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"]["error"] == "usage"
+
+
+@pytest.fixture(scope="module")
+def usage_and_valid_calls(tmp_path_factory):
+    """A usage error and a valid call on one input file, each with the
+    (exit code, stdout) of a fresh ``python -m symidx`` process."""
+    f = tmp_path_factory.mktemp("calls") / "harmonic.json"
+    f.write_text(json.dumps(make_input(CASES["dyn-integrate-harmonic-T3"]["input"])))
+    calls = {
+        "usage": ["dyn", "integrate", "--input", str(f), "--T", "soon"],
+        "valid": ["dyn", "integrate", "--input", str(f), "--z0=0.7,-0.4", "--T=0.5"],
+    }
+    fresh = {}
+    for name, argv in calls.items():
+        proc = run_module(argv)
+        fresh[name] = (proc.returncode, proc.stdout)
+    assert fresh["usage"][0] == 2 and fresh["valid"][0] == 0
+    return calls, fresh
+
+
+@pytest.mark.parametrize("order", [("usage", "valid"), ("valid", "usage")])
+def test_one_parser_per_process_prints_what_a_fresh_process_prints(
+        usage_and_valid_calls, order, capsys):
+    calls, fresh = usage_and_valid_calls
+    _build_parser.cache_clear()
+    for name in order:
+        code = main(calls[name])
+        assert (code, capsys.readouterr().out) == fresh[name], name
+    assert _build_parser.cache_info().misses == 1

@@ -732,3 +732,48 @@ def test_determinant_property(seed, n):
     c = cz_rs(P).as_int()
     det = np.linalg.det(np.eye(2 * n) - P.endpoint())
     assert (-1.0) ** (n - c) == np.sign(det)
+
+
+# ---------------------------------------------------------------------------
+# known wrong answers of cz_rs's crossing scan, kept as strict xfails: the
+# one index core of ROADMAP item 1 is to make each of them pass
+
+
+CROSSING_SCAN = pytest.mark.xfail(strict=True, raises=AssertionError,
+                               reason="ROADMAP item 1: cz_rs crossing scan")
+
+
+@CROSSING_SCAN
+@pytest.mark.parametrize("seed", [499, 3237])
+def test_loop_shift_drawn_seeds(seed):
+    # inputs test_loop_shift_property drew at k = 0: cz_rs gives doubled 2 to
+    # the product and 0 to the path (seed 499) or the reverse (seed 3237)
+    rng = np.random.default_rng(seed)
+    Phi = conjugated_rotation_loop(rng, 1, 0)
+    P = random_admissible_path(rng, 1)
+    assert cz_winding(P)[0].doubled == 0
+    assert cz_rs(Phi.product(P)).doubled == cz_rs(P).doubled == 0
+
+
+@CROSSING_SCAN
+@pytest.mark.parametrize("seed", [7461, 17648])
+def test_determinant_drawn_seeds(seed):
+    # inputs test_determinant_property drew at n = 3: cz_rs gives doubled 2,
+    # an odd index, where det(I - Psi(1)) < 0 requires an even one
+    P = random_admissible_path(np.random.default_rng(seed), 3)
+    det = np.linalg.det(np.eye(6) - P.endpoint())
+    doubled = cz_rs(P).doubled
+    assert det < 0
+    assert doubled % 2 == 0 and (-1.0) ** (3 - doubled // 2) == np.sign(det)
+
+
+@CROSSING_SCAN
+def test_sampled_rotation_past_two_turns():
+    # the interpolant c R(theta), c < 1, of rotation_path(1, 2.5 pi) never
+    # meets the Maslov cycle, and the dips of det(Psi - I) near theta = 2 pi
+    # stay above the kernel threshold: cz_rs gives doubled 2
+    R = rotation_path(1, 2.5 * np.pi)
+    ts = np.linspace(0.0, 1.0, 257)
+    C = SymplecticPath(ts, R.at_many(ts), True, False, 1e-9, None)
+    assert cz_winding(C)[0].doubled == cz_degree_sp2(C).doubled == 6
+    assert cz_rs(C).doubled == 6

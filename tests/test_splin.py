@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symidx import axioms, index, splin
+from symidx import axioms, hamdyn, index, splin
 from symidx.errors import (
     AmbiguousClassificationError,
     DimensionError,
     InvalidPathError,
     NotSymplecticError,
     ParameterError,
+    StepFailureError,
 )
 from symidx.splin import (
     SymmetricFamily,
@@ -278,6 +279,50 @@ class TestCayleyFactorsBitForBit:
         for k in range(len(ts)):
             assert splin.cayley_step(A[k], h[k], Psi[k]).tobytes() == \
                 reference_cayley_step(A[k], h[k], Psi[k]).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+class TestGesvKernel:
+    """``gesv`` / ``gesv_vector`` under ``gesv_errstate`` is numpy.linalg.solve."""
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    @pytest.mark.parametrize("near_identity", [True, False])
+    def test_same_bits_as_numpy_solve(self, d, near_identity):
+        rng = np.random.default_rng([1502, d, near_identity])
+        A = rng.normal(size=(400, d, d))
+        if near_identity:  # the Newton and Cayley systems: I + O(step)
+            A = np.eye(d) + 1e-3 * A
+        B = rng.normal(size=(400, d, d))
+        with splin.gesv_errstate():
+            stacked = splin.gesv(A, B)
+            for k in range(len(A)):
+                x = splin.gesv_vector(A[k], B[k, :, 0])
+                X = splin.gesv(A[k], B[k])
+                assert x.tobytes() == np.linalg.solve(A[k], B[k, :, 0]).tobytes()
+                assert X.tobytes() == np.linalg.solve(A[k], B[k]).tobytes()
+        assert stacked.tobytes() == np.linalg.solve(A, B).tobytes()
+
+    def test_singular_cayley_factor_raises(self):
+        # h A / 2 = diag(1, -1) at the second step makes I - h A / 2 singular
+        h = 0.5
+        A = np.stack([np.diag([0.3, -0.3]), np.diag([2.0 / h, -2.0 / h])])
+        with pytest.raises(np.linalg.LinAlgError):
+            splin.cayley_flow(A, h)
+        with pytest.raises(np.linalg.LinAlgError):
+            splin.cayley_step(A[1], h, np.eye(2))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("j_structure", ["standard", "canonical"])
+    def test_singular_newton_system_raises(self, n, j_structure):
+        # Hess = (2/dt) diag(I, -I) makes I - dt/2 J Hess = [[I, -+I], [-+I, I]]
+        dt = 0.25
+        d = np.repeat([2.0 / dt, -2.0 / dt], n)
+        sys_ = hamdyn.HamiltonianSystem(
+            lambda z: 0.5 * float(d @ z**2), n, "plane" if n == 1 else "r2n",
+            gradient=lambda z: d * z, hessian=lambda z: np.diag(d),
+            j_structure=j_structure)
+        with pytest.raises(StepFailureError, match=r"^singular Newton system at t=0$"):
+            hamdyn.integrate(sys_, np.linspace(1.0, 0.5, 2 * n), 1.0, dt)
 
 
 class TestRecoverSymmetric:
