@@ -384,17 +384,17 @@ def rs_trans_unit_sphere(n: int, k: int) -> int:
     return k * (2 * n - 2)
 
 
-def conjugate_point_count(n: int, k: int, grid: int = 20000) -> int:
+def conjugate_point_count(n: int, k: int) -> int:
     """Independent oracle: conjugate points of the Jacobi equation.
 
     Along a k-fold great circle of the unit round sphere the normal
     Jacobi equation is w'' + w = 0 per direction; this counts its zeros
-    on (0, 2 pi k] numerically and multiplies by the n-1 normal
+    on (0, 2 pi k], on 20000 points, and multiplies by the n-1 normal
     directions.
     """
     if k <= 0:
         raise ParameterError("oracle defined for positive k")
-    ts = np.linspace(0.0, 2 * np.pi * k, grid)
+    ts = np.linspace(0.0, 2 * np.pi * k, 20000)
     w = np.sin(ts)  # Jacobi field vanishing at t=0
     zeros = 0
     for i in range(1, len(ts) - 1):
@@ -405,7 +405,7 @@ def conjugate_point_count(n: int, k: int, grid: int = 20000) -> int:
     return (n - 1) * zeros
 
 
-def unit_sphere_bott_data(n: int, K: int, prime_action: float = 2 * np.pi) -> MorseBottData:
+def unit_sphere_bott_data(n: int, K: int) -> MorseBottData:
     if n < 4:
         raise UnsupportedError(
             "lacunary computation needs n >= 4 (grading gaps close for n < 4)"
@@ -423,7 +423,7 @@ def unit_sphere_bott_data(n: int, K: int, prime_action: float = 2 * np.pi) -> Mo
             BottComponent(
                 id="tower_k%+d" % k,
                 dim=d,
-                action=k * prime_action,
+                action=2 * np.pi * k,
                 rs_trans_doubled=2 * rs_trans_unit_sphere(n, k),
                 morse_points=pts,
             )

@@ -39,7 +39,7 @@ def c1_from_clutching(D: ClutchingData) -> int:
     return sum(maslov_loop(L).as_int() for L in D.overlap_loops)
 
 
-def c1_lagrangian_loop(L: SymplecticPath, tol: float = 1e-7) -> int:
+def c1_lagrangian_loop(L: SymplecticPath) -> int:
     """Maslov index of a loop preserving a Lagrangian subbundle: always 0.
 
     Precondition: rho is real along the loop (det(X + iY) of the
@@ -49,7 +49,7 @@ def c1_lagrangian_loop(L: SymplecticPath, tol: float = 1e-7) -> int:
     if not L.closed:
         raise InvalidPathError("need a closed loop")
     imag = np.abs(rho(L.mats).imag)
-    off = np.flatnonzero(imag > tol)
+    off = np.flatnonzero(imag > 1e-7)
     if len(off):
         raise NotLagrangianError(
             "rho has imaginary part %.3e; loop does not preserve a "

@@ -2,10 +2,9 @@
 
 Exit codes: 0 success, 1 domain error, 2 usage error; both errors print
 a machine-readable error object on stdout (``--help`` prints its text
-and exits 0).  With ``--format structured`` (the default) each
-invocation emits a single JSON document containing the input digests,
-the configuration, and the result; identical invocations with identical
-seeds produce byte-identical output.
+and exits 0).  Each invocation emits a single JSON document containing
+the input digests, the configuration, and the result; identical
+invocations with identical seeds produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,13 +24,7 @@ from .axioms import run_axiom_suite
 from .chain import cascade_complex, cohomology, homology, rfh_unit_sphere
 from .chern import c1_from_clutching
 from .errors import FileFormatError, ParameterError, SymidxError, UsageError
-from .hamdyn import (
-    find_periodic_orbit,
-    integrate,
-    monodromy_and_cz,
-    pendulum_system,
-    twist_fixed_points,
-)
+from .hamdyn import find_periodic_orbit, integrate, monodromy_and_cz, twist_fixed_points
 from .index import (
     cz_rs,
     cz_winding,
@@ -209,33 +202,15 @@ def _cmd_chain(args):
 
 
 def _cmd_demo(args):
-    if args.what == "pendulum":
-        sys_std = pendulum_system()
-        traj = integrate(sys_std, np.array([0.4, 0.0]), 20.0, 1e-3)
-        out = {"demo": "pendulum", "energy_drift": traj.energy_drift(sys_std),
-               "equilibria": {}}
-        eps = 0.05
-        sys_can = pendulum_system("canonical", scale=eps)
-        for name, z, morse in (("saddle", [0.0, 0.0], 1), ("center", [0.5, 0.0], 0)):
-            orbit = find_periodic_orbit(sys_can, np.array(z), 1.0)
-            _, nondeg, idx = monodromy_and_cz(sys_can, orbit)
-            out["equilibria"][name] = {
-                "morse_index": morse,
-                "nondegenerate": nondeg,
-                "cz_canonical_doubled": idx["canonical"].doubled if idx else None,
-            }
-        return out
-    if args.what == "unit-sphere":
-        table = rfh_unit_sphere(args.n, args.window)
-        return {
-            "demo": "unit-sphere",
-            "n": args.n,
-            "window": args.window,
-            "lacunary": table["lacunary"],
-            "betti": _betti_payload(table["betti"]),
-            "support_doubled": table["support_doubled"],
-        }
-    raise FileFormatError("unknown demo %r" % args.what)
+    table = rfh_unit_sphere(args.n, args.window)
+    return {
+        "demo": "unit-sphere",
+        "n": args.n,
+        "window": args.window,
+        "lacunary": table["lacunary"],
+        "betti": _betti_payload(table["betti"]),
+        "support_doubled": table["support_doubled"],
+    }
 
 
 def _cmd_axioms(args):
@@ -270,8 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="symidx")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--output", type=str, default=None)
-    p.add_argument("--format", choices=("structured", "human"),
-                   default="structured")
     sub = p.add_subparsers(dest="command", required=True)
 
     pi = sub.add_parser("index")
@@ -302,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pch.set_defaults(handler=_cmd_chain)
 
     pde = sub.add_parser("demo")
-    pde.add_argument("what", choices=("pendulum", "unit-sphere"))
+    pde.add_argument("what", choices=("unit-sphere",))
     pde.add_argument("--n", type=int, default=4)
     pde.add_argument("--window", type=int, default=2)
     pde.set_defaults(handler=_cmd_demo)
@@ -313,18 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(handler=_cmd_axioms)
 
     return p
-
-
-def _render_human(doc: dict, prefix: str = "") -> str:
-    lines = []
-    for k in sorted(doc):
-        v = doc[k]
-        if isinstance(v, dict):
-            lines.append("%s%s:" % (prefix, k))
-            lines.append(_render_human(v, prefix + "  "))
-        else:
-            lines.append("%s%s: %s" % (prefix, k, v))
-    return "\n".join(line for line in lines if line)
 
 
 def main(argv=None) -> int:
@@ -347,7 +308,7 @@ def main(argv=None) -> int:
 
     config = {
         k: v for k, v in sorted(vars(args).items())
-        if k not in ("handler", "output", "format") and v is not None
+        if k not in ("handler", "output") and v is not None
         and not callable(v)
     }
 
@@ -366,11 +327,7 @@ def main(argv=None) -> int:
         doc["error"] = e.payload()
         code = 1
 
-    if args.format == "structured":
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    else:
-        text = _render_human(doc) + "\n"
-
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.output:
         Path(args.output).write_text(text)
     else:

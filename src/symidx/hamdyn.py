@@ -42,6 +42,7 @@ from .errors import (
 from .index import cz_rs
 from .splin import (
     SymplecticPath,
+    cayley_failure,
     cayley_flow,
     gesv_errstate,
     gesv_vector,
@@ -53,6 +54,8 @@ FD_GRAD_STEP = 1e-6
 FD_HESS_STEP = 1e-5
 NEWTON_TOL = 1e-13  # relative residual of the midpoint Newton solve
 NEWTON_MAX_ITER = 25
+SHOOT_TOL = 1e-8  # norm of the first-return gap that ends Newton shooting
+SHOOT_MAX_ITER = 50
 
 
 @dataclass
@@ -103,18 +106,18 @@ class HamiltonianSystem:
                 H[:, i] = (self.grad(z + e) - self.grad(z - e)) / (2 * h)
         return 0.5 * (H + H.T)
 
-    def check_gradient(self, rng: np.random.Generator, probes: int = 10,
-                       rel_tol: float = 1e-5) -> bool:
-        """Analytic gradient vs central differences on random probe points."""
+    def check_gradient(self, rng: np.random.Generator) -> bool:
+        """Analytic gradient vs central differences on 10 random probe points,
+        to 1e-5 relative."""
         if self.gradient is None:
             return True
-        for _ in range(probes):
+        for _ in range(10):
             z = rng.normal(size=2 * self.n)
             ana = np.asarray(self.gradient(z), dtype=float)
             num = HamiltonianSystem(
                 self.hamiltonian, self.n, "r2n" if self.n > 1 else "plane"
             ).grad(z)
-            if np.max(np.abs(ana - num)) > rel_tol * max(1.0, np.max(np.abs(ana))):
+            if np.max(np.abs(ana - num)) > 1e-5 * max(1.0, np.max(np.abs(ana))):
                 return False
         return True
 
@@ -318,15 +321,15 @@ def _first_return(sys: HamiltonianSystem, z0: np.ndarray, normal: np.ndarray,
 
 
 def find_periodic_orbit(sys: HamiltonianSystem, z_guess, T_guess: float,
-                        dt: float = 1e-3, shoot_tol: float = 1e-8,
-                        max_iter: int = 50) -> PeriodicOrbit:
+                        dt: float = 1e-3) -> PeriodicOrbit:
     """Poincare-section Newton shooting for a periodic orbit.
 
     The initial point is confined to the hyperplane through z_guess
     orthogonal to the flow there (removing the time-shift degeneracy) and
     Newton runs on the section coordinates of the first-return map; the
-    return time is the period of the branch selected by T_guess.
-    Equilibria short-circuit to constant orbits.
+    return time is the period of the branch selected by T_guess.  Newton
+    stops once the return gap is below SHOOT_TOL, or fails after
+    SHOOT_MAX_ITER iterations.  Equilibria short-circuit to constant orbits.
     """
     if not (np.isfinite(dt) and dt > 0 and np.isfinite(T_guess) and T_guess > 0):
         raise ParameterError("need finite dt > 0 and finite T_guess > 0")
@@ -351,10 +354,10 @@ def find_periodic_orbit(sys: HamiltonianSystem, z_guess, T_guess: float,
         return g, T
 
     y = np.zeros(dim - 1)
-    for _ in range(max_iter):
+    for _ in range(SHOOT_MAX_ITER):
         point = anchor + E @ y
         g, T = gap_of(point)
-        if np.linalg.norm(g) < shoot_tol:
+        if np.linalg.norm(g) < SHOOT_TOL:
             traj = _flow(sys, point, T, max(64, int(np.ceil(T / dt))))
             return PeriodicOrbit(point, float(T), traj,
                                  float(np.linalg.norm(_offset(sys, traj.zs[-1], point)[0])))
@@ -373,17 +376,17 @@ def find_periodic_orbit(sys: HamiltonianSystem, z_guess, T_guess: float,
         if not np.all(np.isfinite(y)):
             raise NoOrbitFoundError("shooting iteration diverged")
     raise NoOrbitFoundError("Newton shooting did not converge in %d iterations"
-                            % max_iter)
+                            % SHOOT_MAX_ITER)
 
 
-def monodromy_and_cz(sys: HamiltonianSystem, orbit: PeriodicOrbit,
-                     tol: float = 1e-6):
+def monodromy_and_cz(sys: HamiltonianSystem, orbit: PeriodicOrbit):
     """(monodromy path, nondegenerate?, indices or None).
 
     The monodromy path is the linearized flow along the orbit's stored
     trajectory: one Cayley step of J Hess H at each step's midpoint, at
-    the trajectory's step size, on the unit time grid.  Nondegenerate iff
-    1 is not an eigenvalue of the time-1 monodromy; in that case both
+    the trajectory's step size, on the unit time grid; a singular step
+    raises ``StepFailureError``.  Nondegenerate iff |det(Psi(1) - I)| >
+    1e-6 (1 is not an eigenvalue of the time-1 monodromy); then both
     normalizations of the Conley-Zehnder index of the monodromy path are
     returned as {"standard": .., "canonical": ..}.
     """
@@ -391,10 +394,14 @@ def monodromy_and_cz(sys: HamiltonianSystem, orbit: PeriodicOrbit,
     h = orbit.period / (len(zs) - 1)
     J, eye = sys.J, np.eye(2 * sys.n)
     Hs = np.array([sys.hess(mid) for mid in 0.5 * (zs[:-1] + zs[1:])])
-    path = SymplecticPath(np.linspace(0.0, 1.0, len(zs)), cayley_flow(J @ Hs, h),
-                          True, False, 1e-6)
+    A = J @ Hs
+    try:
+        mats = cayley_flow(A, h)
+    except np.linalg.LinAlgError:
+        raise cayley_failure(A, h, h * np.arange(len(A)))
+    path = SymplecticPath(np.linspace(0.0, 1.0, len(zs)), mats, True, False, 1e-6)
     path.validate(check_samples=False)
-    nondeg = abs(np.linalg.det(path.endpoint() - eye)) > tol
+    nondeg = abs(np.linalg.det(path.endpoint() - eye)) > 1e-6
     if not nondeg:
         return path, False, None
     std = cz_rs(path)
@@ -407,13 +414,14 @@ class PeriodReport:
     period: Optional[float] = None
 
 
-def prime_period(traj: Trajectory, tol: float = 1e-6) -> PeriodReport:
+def prime_period(traj: Trajectory) -> PeriodReport:
     """Classify a uniformly sampled trajectory by its period group.
 
     Returns constant (period group R), periodic with the prime period tau
     (first full-state return, refined parabolically), or no period found
     on the window.
     """
+    tol = 1e-6
     zs = traj.zs
     ts = traj.ts
     spread = float(np.max(np.abs(zs - zs[0])))
@@ -448,7 +456,7 @@ def _theta_gap(a: float, b: float) -> float:
 
 
 def twist_fixed_points(map_fn, r_range: tuple[float, float],
-                       grid: int = 48, tol: float = 1e-10) -> TwistReport:
+                       grid: int = 48) -> TwistReport:
     """Fixed points of an annulus map (theta mod 1, r in [a, b]).
 
     Grid-seeded Newton on (wrapped theta shift, r shift); deduplicated.
@@ -475,7 +483,7 @@ def twist_fixed_points(map_fn, r_range: tuple[float, float],
             ok = True
             for _ in range(40):
                 f = F(p)
-                if np.linalg.norm(f) < tol:
+                if np.linalg.norm(f) < 1e-10:
                     break
                 h = 1e-7
                 Jc = np.column_stack([

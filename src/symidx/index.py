@@ -124,11 +124,10 @@ class WindingInterval:
 # phase unwrapping and degrees
 
 
-def _unwrapped_phases(path: SymplecticPath, base_samples: int = 257,
-                      max_doublings: int = 8):
+def _unwrapped_phases(path: SymplecticPath):
     """Continuous phase of rho along the path; refines until jumps < pi/2."""
-    m = max(base_samples, len(path.ts))
-    for _ in range(max_doublings + 1):
+    m = max(257, len(path.ts))
+    for _ in range(9):  # the first grid and up to 8 doublings
         if path.matrix_at is None:
             # no exact evaluator: the stored samples are all the data there is
             ts, mats = path.ts, path.mats
@@ -208,7 +207,7 @@ def _bisect_together(a, b, left_of) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def _locate_crossings(path: SymplecticPath, grid_size: int = 257) -> list[float]:
+def _locate_crossings(path: SymplecticPath) -> list[float]:
     """Parameters in (0,1) where 1 is an eigenvalue of path(t).
 
     Sign changes of det(Psi(t)-I) are bisected, all brackets together;
@@ -221,7 +220,7 @@ def _locate_crossings(path: SymplecticPath, grid_size: int = 257) -> list[float]
         ts = path.ts
         d = np.linalg.det(path.mats - np.eye(path.dim))
     else:
-        ts = np.linspace(0.0, 1.0, grid_size)
+        ts = np.linspace(0.0, 1.0, 257)
         d = _dets_minus_id(path, ts)
     scale = max(1e-12, float(np.max(np.abs(d))))
     found: list[float] = []
@@ -417,10 +416,10 @@ def _fan_directions(s_samples: int) -> np.ndarray:
     return np.column_stack([np.cos(2 * np.pi * ss), np.sin(2 * np.pi * ss)])
 
 
-def _fan_grids(P: SymplecticPath, t_samples: int = 513):
-    """Path samples on time grids of 2^k (m - 1) + 1 points, m = max(t_samples,
+def _fan_grids(P: SymplecticPath):
+    """Path samples on time grids of 2^k (m - 1) + 1 points, m = max(513,
     len(P.ts)); the next grid is taken when the previous one was too coarse."""
-    m = max(t_samples, len(P.ts))
+    m = max(513, len(P.ts))
     for level in range(8):
         if level and P.matrix_at is None:
             raise ResolutionError("path too coarse for vector winding")
@@ -454,8 +453,7 @@ def _fan_sums(mats: np.ndarray, v0: np.ndarray) -> Optional[np.ndarray]:
     return np.concatenate(sums)
 
 
-def _windings_all_s(P: SymplecticPath, s_samples: int,
-                    t_samples: int = 513) -> np.ndarray:
+def _windings_all_s(P: SymplecticPath, s_samples: int) -> np.ndarray:
     """Winding (in turns) of t -> Psi(t) v_s for a whole fan of unit vectors.
 
     Antipodal vectors wind equally, so s runs over half the circle.
@@ -464,7 +462,7 @@ def _windings_all_s(P: SymplecticPath, s_samples: int,
     computes on a grid that fails the turning certificate.
     """
     v0 = _fan_directions(s_samples)
-    for mats in _fan_grids(P, t_samples):
+    for mats in _fan_grids(P):
         sums = _fan_sums(mats, v0)
         if sums is not None:
             return sums / (2.0 * np.pi)
@@ -545,7 +543,7 @@ def winding_interval(P: SymplecticPath, s_samples: int = 1024) -> tuple[float, f
             return float(np.min(vals)), float(np.max(vals))
 
 
-def cz_winding(P: SymplecticPath, tol: float = 1e-6) -> tuple[IndexValue, WindingInterval]:
+def cz_winding(P: SymplecticPath) -> tuple[IndexValue, WindingInterval]:
     """Winding-interval Conley-Zehnder index; Sp(2) only."""
     P.validate()
     if P.n != 1:
@@ -559,7 +557,7 @@ def cz_winding(P: SymplecticPath, tol: float = 1e-6) -> tuple[IndexValue, Windin
             "winding interval [%.6f, %.6f] has length >= 1/2" % (lo, hi)
         )
     for v in (lo, hi):
-        if abs(v - round(v)) < tol:
+        if abs(v - round(v)) < 1e-6:
             raise EndpointDegenerateError(
                 "winding interval boundary %.8f touches an integer" % v
             )
@@ -646,8 +644,7 @@ def _extension_path_sp2(V: np.ndarray, samples: int) -> SymplecticPath:
     return SymplecticPath(ts, mats, False, False, 1e-7, call)
 
 
-def cz_degree_sp2(P: SymplecticPath, tol: float = 1e-9,
-                  ext_samples: int = 257) -> IndexValue:
+def cz_degree_sp2(P: SymplecticPath, ext_samples: int = 257) -> IndexValue:
     """Conley-Zehnder index via extension to a normal form; Sp(2) only.
 
     Extends the path inside the endpoint's nondegenerate component to
@@ -662,7 +659,7 @@ def cz_degree_sp2(P: SymplecticPath, tol: float = 1e-9,
         raise DimensionError("extension-degree algorithm is Sp(2) only")
     if not P.starts_at_identity:
         raise InvalidPathError("needs an identity-based path")
-    _check_endpoint_nondegenerate(P, tol)
+    _check_endpoint_nondegenerate(P, 1e-9)
     V = P.at(1.0)
     sign0 = np.sign(np.linalg.det(V - np.eye(2)))
     for samples in (ext_samples, 4 * ext_samples):
@@ -687,7 +684,7 @@ def cz_degree_sp2(P: SymplecticPath, tol: float = 1e-9,
 # spectral flow
 
 
-def spectral_flow_matrix(A: SymmetricFamily, tol: float = 1e-9) -> int:
+def spectral_flow_matrix(A: SymmetricFamily) -> int:
     """Spectral flow of a family of symmetric matrices over s in [0, 1].
 
     The difference n_-(A(0)) - n_-(A(1)) of negative-eigenvalue counts
@@ -697,7 +694,7 @@ def spectral_flow_matrix(A: SymmetricFamily, tol: float = 1e-9) -> int:
     A.validate()
     ends = np.linalg.eigvalsh(A.at_many([A.ts[0], A.ts[-1]]))
     for s, w in zip((A.ts[0], A.ts[-1]), ends):
-        if np.min(np.abs(w)) <= max(tol, 1e-9) * max(1.0, np.max(np.abs(w))):
+        if np.min(np.abs(w)) <= 1e-9 * max(1.0, np.max(np.abs(w))):
             raise EndpointDegenerateError("family endpoint at s=%g is singular" % s)
     return int(np.sum(ends[0] < 0.0) - np.sum(ends[1] < 0.0))
 
@@ -778,8 +775,7 @@ def truncated_loop_operator(S_slice: SymmetricFamily, cutoff: int,
     return M
 
 
-def loop_operator_spectral_flow(S: SymmetricFamily2, fourier_cutoff: int,
-                                tol: float = 1e-8) -> int:
+def loop_operator_spectral_flow(S: SymmetricFamily2, fourier_cutoff: int) -> int:
     """Spectral flow of s -> -J0 d/dt - S(s, .), Fourier-truncated.
 
     Equal (after the fixed sign calibration) to CZ(Psi^0) - CZ(Psi^1)
@@ -798,7 +794,7 @@ def loop_operator_spectral_flow(S: SymmetricFamily2, fourier_cutoff: int,
         flows = []
         for s, A in zip(ends, ops):
             w = np.linalg.eigvalsh(A[:size, :size])
-            if np.min(np.abs(w)) <= tol * max(1.0, np.max(np.abs(w))):
+            if np.min(np.abs(w)) <= 1e-8 * max(1.0, np.max(np.abs(w))):
                 raise EndpointDegenerateError(
                     "truncated loop operator singular at s=%g" % s
                 )

@@ -149,8 +149,8 @@ def load_family(source):
     return SymmetricFamily(ts, mats).validate()
 
 
-def dump_path(P: SymplecticPath, max_samples: int = 513) -> dict:
-    stride = max(1, len(P.ts) // max_samples)
+def dump_path(P: SymplecticPath) -> dict:
+    stride = max(1, len(P.ts) // 513)
     idx = list(range(0, len(P.ts), stride))
     if idx[-1] != len(P.ts) - 1:
         idx.append(len(P.ts) - 1)

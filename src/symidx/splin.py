@@ -12,7 +12,7 @@ Conventions fixed once for the whole library:
   is e^{i theta} (upper half plane).
 
 Default tolerances: 1e-9 for algebraic identities, 1e-6 for ODE
-round-trips.  Every operation accepts an explicit ``tol``.
+round-trips.  Paths and families validate against their own ``tol``.
 
 Paths and families are evaluated on stacks: ``at_many(ts)`` returns one
 matrix per parameter, shape (m, dim, dim), from the exact evaluator
@@ -42,6 +42,7 @@ from .errors import (
     InvalidPathError,
     NotSymplecticError,
     ParameterError,
+    StepFailureError,
 )
 
 ALGEBRA_TOL = 1e-9
@@ -286,23 +287,22 @@ class SymplecticPath:
     def dim(self) -> int:
         return self.mats.shape[1]
 
-    def validate(self, tol: float | None = None, check_samples: bool = True):
-        tol = self.tol if tol is None else tol
+    def validate(self, check_samples: bool = True):
         if len(self.ts) < 2 or self.ts[0] != 0.0 or self.ts[-1] != 1.0:
             raise InvalidPathError("parameter grid must run from 0 to 1")
         if np.any(np.diff(self.ts) <= 0):
             raise InvalidPathError("parameter grid must be strictly increasing")
         if check_samples:
             worst = symplecticity_residual(self.mats)
-            if worst > tol:
+            if worst > self.tol:
                 raise NotSymplecticError(
-                    "worst sample symplecticity residual %.3e > tol %.3e" % (worst, tol)
+                    "worst sample symplecticity residual %.3e > tol %.3e" % (worst, self.tol)
                 )
         if self.starts_at_identity:
-            if np.max(np.abs(self.mats[0] - np.eye(self.dim))) > max(tol, 1e-7):
+            if np.max(np.abs(self.mats[0] - np.eye(self.dim))) > max(self.tol, 1e-7):
                 raise InvalidPathError("path flagged as identity-start but is not")
         if self.closed:
-            if np.max(np.abs(self.mats[-1] - self.mats[0])) > max(tol, 1e-7):
+            if np.max(np.abs(self.mats[-1] - self.mats[0])) > max(self.tol, 1e-7):
                 raise InvalidPathError("path flagged as closed but endpoints differ")
         return self
 
@@ -511,7 +511,6 @@ class SymmetricFamily:
     mats: np.ndarray
     tol: float = ALGEBRA_TOL
     matrix_at: Optional[Callable[[float], np.ndarray]] = None
-    asymmetry: float = 0.0
 
     def __post_init__(self):
         self.ts = np.asarray(self.ts, dtype=float)
@@ -523,10 +522,9 @@ class SymmetricFamily:
     def dim(self) -> int:
         return self.mats.shape[1]
 
-    def validate(self, tol: float | None = None):
-        tol = self.tol if tol is None else tol
+    def validate(self):
         worst = float(np.max(np.abs(self.mats - np.transpose(self.mats, (0, 2, 1)))))
-        if worst > max(tol, 1e-7):
+        if worst > max(self.tol, 1e-7):
             raise ParameterError("family matrices not symmetric: residual %.3e" % worst)
         return self
 
@@ -637,17 +635,35 @@ def cayley_flow(A: np.ndarray, h) -> np.ndarray:
     return mats
 
 
+def cayley_failure(A: np.ndarray, h, ts) -> StepFailureError:
+    """``StepFailureError`` for Cayley steps of A (m, d, d) with sizes ``h``
+    that raised ``LinAlgError``: it names the first step, from ``ts[k]``,
+    whose factor I - h A/2 is singular (the zero pivot ``gesv`` reports is
+    a zero determinant), or else a non-finite value."""
+    bad = np.flatnonzero(np.linalg.det(cayley_factors(A, h)[0]) == 0.0)
+    if not len(bad):
+        return StepFailureError("Cayley steps produced a non-finite value")
+    t = float(ts[bad[0]])
+    return StepFailureError("singular Cayley factor in the step from t=%g" % t, t)
+
+
 def path_from_symmetric(S: SymmetricFamily, steps: int = 256) -> SymplecticPath:
     """Integrate Psi' = J0 S(t) Psi, Psi(0) = I, by the implicit midpoint rule.
 
     The midpoint rule preserves quadratic invariants, so the samples stay
     close to Sp(2n); the symplecticity residual decreases like steps^-2.
+    A singular Cayley factor, in the flow or in the evaluator's substep,
+    raises ``StepFailureError``.
     """
     if steps < 2:
         raise ParameterError("need at least 2 integration steps")
     J = standard_j(S.dim // 2)
     ts = np.linspace(0.0, 1.0, steps + 1)
-    mats = cayley_flow(J @ S.at_many(0.5 * (ts[:-1] + ts[1:])), np.diff(ts))
+    A = J @ S.at_many(0.5 * (ts[:-1] + ts[1:]))
+    try:
+        mats = cayley_flow(A, np.diff(ts))
+    except np.linalg.LinAlgError:
+        raise cayley_failure(A, np.diff(ts), ts)
     h = 1.0 / steps
 
     @_stacked
@@ -661,7 +677,11 @@ def path_from_symmetric(S: SymmetricFamily, steps: int = 256) -> SymplecticPath:
             # one local midpoint substep from the stored sample keeps the
             # evaluator at the integrator's accuracy
             t, t0 = t[sub], t0[sub]
-            Psi[sub] = cayley_step(J @ S.at_many(0.5 * (t0 + t)), t - t0, Psi[sub])
+            A = J @ S.at_many(0.5 * (t0 + t))
+            try:
+                Psi[sub] = cayley_step(A, t - t0, Psi[sub])
+            except np.linalg.LinAlgError:
+                raise cayley_failure(A, t - t0, t0)
         return Psi
 
     return SymplecticPath(ts, mats, True, False, max(ODE_TOL, 10.0 / steps**2), call)
@@ -670,8 +690,8 @@ def path_from_symmetric(S: SymmetricFamily, steps: int = 256) -> SymplecticPath:
 def recover_symmetric(P: SymplecticPath) -> SymmetricFamily:
     """Recover S(t) = -J0 Psi'(t) Psi(t)^{-1} by central finite differences.
 
-    The result is symmetrized; the pre-symmetrization residual is kept in
-    ``asymmetry`` so callers can judge the discretization error.
+    The result is symmetrized; its ``tol`` is the pre-symmetrization
+    residual (at least ALGEBRA_TOL), a measure of the discretization error.
     """
     if len(P.ts) < 3:
         raise InvalidPathError("need at least 3 samples to differentiate")
@@ -689,16 +709,14 @@ def recover_symmetric(P: SymplecticPath) -> SymmetricFamily:
         out[k] = -J @ dPsi @ inv
     asym = float(np.max(np.abs(out - np.transpose(out, (0, 2, 1)))))
     sym = 0.5 * (out + np.transpose(out, (0, 2, 1)))
-    fam = SymmetricFamily(ts.copy(), sym, tol=max(ALGEBRA_TOL, asym))
-    fam.asymmetry = asym
-    return fam
+    return SymmetricFamily(ts.copy(), sym, tol=max(ALGEBRA_TOL, asym))
 
 
-def _value_and_form(P: SymplecticPath, t: float, h: float = 1e-6):
-    """(Psi(t), S(t)) from one evaluation of the path at t + h, t - h and t."""
+def _value_and_form(P: SymplecticPath, t: float):
+    """(Psi(t), S(t)) from one evaluation of the path at t +- 1e-6 and t."""
     J = standard_j(P.n)
-    t0 = max(0.0, t - h)
-    t1 = min(1.0, t + h)
+    t0 = max(0.0, t - 1e-6)
+    t1 = min(1.0, t + 1e-6)
     A1, A0, At = P.at_many([t1, t0, t])
     dPsi = (A1 - A0) / (t1 - t0)
     M = -J @ dPsi @ np.linalg.inv(At)

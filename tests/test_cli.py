@@ -113,6 +113,8 @@ class TestExitCodes:
         (["index", "cz"], "required: --input"),
         (["dyn", "orbit", "--T", "six"], "invalid float value: 'six'"),
         (["--format", "xml", "axioms"], "invalid choice: 'xml'"),
+        (["--format", "human", "demo", "unit-sphere"], "invalid choice: 'human'"),
+        (["demo", "pendulum"], "invalid choice: 'pendulum'"),
     ])
     def test_usage_error_is_json_error_object(self, capsys, argv, words):
         code, out = run(capsys, argv)

@@ -117,6 +117,18 @@ def test_python_m_symidx_bad_flag_is_a_usage_error():
     assert json.loads(proc.stdout)["error"]["error"] == "usage"
 
 
+def test_python_m_symidx_singular_cayley_factor_is_a_step_failure(tmp_path):
+    # J0 S = diag(-512, 512): at step 1/256 the factor I - h J0 S / 2 is singular
+    f = tmp_path / "singular.json"
+    S = [[0.0, 512.0], [512.0, 0.0]]
+    f.write_text(json.dumps({"n": 1, "kind": "symmetric_family", "samples": [
+        {"t": 0.0, "matrix": S}, {"t": 1.0, "matrix": S}]}))
+    proc = run_module(["index", "cz", "--input", str(f)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["error"] == "step-failure"
+
+
 @pytest.fixture(scope="module")
 def usage_and_valid_calls(tmp_path_factory):
     """A usage error and a valid call on one input file, each with the

@@ -159,6 +159,16 @@ class TestPeriodicOrbit:
         assert np.allclose(path.mats[1], C, atol=1e-15)
         assert np.allclose(path.endpoint(), np.eye(2), atol=1e-8)
 
+    def test_singular_monodromy_step_is_step_failure(self):
+        # J0 Hess = diag(-8, 8) at step 1/4 makes I - h J0 Hess / 2 singular
+        hess = np.array([[0.0, 8.0], [8.0, 0.0]])
+        sys_ = HamiltonianSystem(lambda z: 8.0 * z[0] * z[1], hessian=lambda z: hess)
+        orbit = PeriodicOrbit(np.zeros(2), 1.0,
+                              hamdyn.Trajectory(np.linspace(0.0, 1.0, 5), np.zeros((5, 2))), 0.0)
+        with pytest.raises(StepFailureError, match=r"step from t=0$") as err:
+            monodromy_and_cz(sys_, orbit)
+        assert err.value.t == 0.0
+
     def test_equilibrium_cz_matches_morse(self):
         # CZcan(constant orbit) = n - Morse index in the canonical structure
         eps = 0.05

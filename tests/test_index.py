@@ -768,6 +768,17 @@ def test_determinant_drawn_seeds(seed):
 
 
 @CROSSING_SCAN
+def test_determinant_drawn_seed_sp4():
+    # the input test_determinant_property drew at seed 124192, n = 2: cz_rs
+    # gives doubled 2, an odd index, where det(I - Psi(1)) > 0 requires an even one
+    P = random_admissible_path(np.random.default_rng(124192), 2)
+    det = np.linalg.det(np.eye(4) - P.endpoint())
+    doubled = cz_rs(P).doubled
+    assert det > 0
+    assert doubled % 2 == 0 and (-1.0) ** (2 - doubled // 2) == np.sign(det)
+
+
+@CROSSING_SCAN
 def test_sampled_rotation_past_two_turns():
     # the interpolant c R(theta), c < 1, of rotation_path(1, 2.5 pi) never
     # meets the Maslov cycle, and the dips of det(Psi - I) near theta = 2 pi

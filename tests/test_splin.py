@@ -311,6 +311,29 @@ class TestGesvKernel:
         with pytest.raises(np.linalg.LinAlgError):
             splin.cayley_step(A[1], h, np.eye(2))
 
+    @staticmethod
+    def constant_family(a):
+        # J0 S = diag(-a, a): the Cayley factor I - h J0 S / 2 is singular at h = 2 / a
+        S = np.array([[0.0, a], [a, 0.0]])
+        return SymmetricFamily([0.0, 1.0], [S, S])
+
+    def test_singular_flow_step_is_step_failure(self):
+        with pytest.raises(StepFailureError, match=r"^singular Cayley factor") as err:
+            path_from_symmetric(self.constant_family(512.0))
+        assert err.value.t == 0.0
+
+    def test_singular_evaluator_substep_is_step_failure(self):
+        # the 1/256 steps are regular at a = 1024; a substep of 1/512 is not
+        P = path_from_symmetric(self.constant_family(1024.0))
+        with pytest.raises(StepFailureError, match=r"step from t=0.25$") as err:
+            P.at_many([0.25, 0.25 + 1.0 / 512.0])
+        assert err.value.t == 0.25
+
+    def test_cayley_failure_without_a_singular_factor(self):
+        err = splin.cayley_failure(np.zeros((3, 2, 2)), 0.5, [0.0, 0.5, 1.0])
+        assert isinstance(err, StepFailureError) and err.t is None
+        assert "non-finite" in str(err)
+
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("j_structure", ["standard", "canonical"])
     def test_singular_newton_system_raises(self, n, j_structure):
