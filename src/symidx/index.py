@@ -48,9 +48,9 @@ from .splin import (
     SymmetricFamily,
     SymmetricFamily2,
     SymplecticPath,
+    _is_stacked,
     _piecewise,
     _stacked,
-    _value_and_form,
     rho,
     standard_j,
 )
@@ -63,6 +63,7 @@ LOOP_SF_CALIBRATION = 1
 KERNEL_SVD_FACTOR = 1e-7  # singular values below this times the matrix
 #                           scale span the crossing kernel
 BISECT_TOL = 1e-10
+BISECT_LEVELS = 4  # bracket halvings evaluated per evaluator call
 FORM_REG_TOL = 1e-6  # crossing-form eigenvalues below this (relative)
 #                      make the crossing irregular
 PERTURB_DELTAS = tuple(1e-4 * 0.5**k for k in range(8))
@@ -187,33 +188,81 @@ def _dets_minus_id(path: SymplecticPath, ts) -> np.ndarray:
     return np.linalg.det(path.at_many(ts) - np.eye(path.dim))
 
 
-def _bisect_together(a, b, left_of) -> np.ndarray:
-    """Midpoints of the brackets [a_i, b_i] halved until narrower than
-    BISECT_TOL, all brackets in one pass per level.
+def _midpoint_tree(lo: float, hi: float) -> list[float]:
+    """Midpoints of BISECT_LEVELS halvings of [lo, hi]: a full binary tree
+    in heap order, whose node j has the halves 2j + 1 (left) and 2j + 2."""
+    halves, mids = [(lo, hi)], []
+    for j in range(2**BISECT_LEVELS - 1):
+        lo, hi = halves[j]
+        m = 0.5 * (lo + hi)
+        mids.append(m)
+        halves += [(lo, m), (m, hi)]
+    return mids
 
-    ``left_of(i, mids)`` tells, for the live brackets ``i``, whether the
-    crossing lies in the left half at their midpoints ``mids``.  Each
-    bracket takes the midpoints a one-bracket bisection would take.
+
+def _bisect_together(a, fa, b, dets) -> list[float]:
+    """Midpoints of the brackets [a_i, b_i], with det(Psi - I) = fa_i at
+    a_i, halved until narrower than BISECT_TOL.
+
+    ``dets(ts)`` is det(Psi(t) - I) at every t of ``ts``.  One call per
+    pass evaluates the midpoints of BISECT_LEVELS halvings of every live
+    bracket (``_midpoint_tree``).  Each bracket then walks its tree by the
+    rule of a one-bracket bisection, taking the left half where
+    fa * fm <= 0, and stops once b - a <= BISECT_TOL.  A node's midpoint
+    is 0.5 * (lo + hi) of its parent's half, the recursion a one-bracket
+    bisection runs, and a row of a stacked evaluation is a one-point
+    evaluation, so every bracket visits the midpoints and values of its
+    own bisection and ends on its bits.  The few brackets of a path are
+    walked on Python floats, which round as float64 arrays do.
     """
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    live = b - a > BISECT_TOL
-    while np.any(live):
-        i = np.flatnonzero(live)
-        mid = 0.5 * (a[i] + b[i])
-        left = left_of(i, mid)
-        b[i[left]] = mid[left]
-        a[i[~left]] = mid[~left]
-        live[i] = b[i] - a[i] > BISECT_TOL
-    return 0.5 * (a + b)
+    brackets = [list(br) for br in zip(a.tolist(), fa.tolist(), b.tolist())]
+    live = [br for br in brackets if br[2] - br[0] > BISECT_TOL]
+    while live:
+        trees = [_midpoint_tree(lo, hi) for lo, _, hi in live]
+        values = dets(np.ravel(trees)).reshape(len(live), -1).tolist()
+        for br, mids, fms in zip(live, trees, values):
+            j = 0
+            for _ in range(BISECT_LEVELS):
+                if not br[2] - br[0] > BISECT_TOL:
+                    break
+                if br[1] * fms[j] <= 0.0:
+                    br[2], j = mids[j], 2 * j + 1
+                else:
+                    br[0], br[1], j = mids[j], fms[j], 2 * j + 2
+        live = [br for br in live if br[2] - br[0] > BISECT_TOL]
+    return [0.5 * (lo + hi) for lo, _, hi in brackets]
+
+
+def _sign_changes(ts: np.ndarray, d: np.ndarray):
+    """(a, det at a, b) of every cell [ts[.., j], ts[.., j + 1]] across which
+    ``d`` changes sign, along the last axis."""
+    k = np.nonzero(d[..., :-1] * d[..., 1:] < 0.0)
+    right = k[:-1] + (k[-1] + 1,)
+    return ts[k], d[k], ts[right]
 
 
 def _locate_crossings(path: SymplecticPath) -> list[float]:
     """Parameters in (0,1) where 1 is an eigenvalue of path(t).
 
-    Sign changes of det(Psi(t)-I) are bisected, all brackets together;
-    zeros of even order (no sign change) are caught as small local minima
-    of |det| and confirmed by a singular-value test after a bounded scalar
-    minimization.
+    det(Psi(t)-I) is scanned on the path's grid (its stored samples when
+    there are at least 129) and every cell is classified at once by array
+    masks:
+
+    * a sign change is a bracket;
+    * a cell bordered by a near-zero determinant (typically the identity
+      start) can hide a sign change behind the 0 * x = 0 product, so its 8
+      interior points are sub-scanned;
+    * a small local minimum of |det| without a sign change (a dip) can
+      hide a close pair of transversal zeros, so 65 points across its two
+      cells are sub-scanned.
+
+    The sub-grids of all those cells and dips go to the evaluator in one
+    call, and their sign changes become brackets too.  All brackets are
+    bisected together (``_bisect_together``).  A dip whose sub-grid has no
+    sign change is an even-order zero candidate: a bounded scalar
+    minimization of |det| finds it and a singular-value test confirms it.
+    Each step computes the values a cell-by-cell scan computes, so the
+    result has its bits.
     """
     if len(path.ts) >= 129:
         # dense sample grid: batch the determinant scan over stored samples
@@ -222,46 +271,28 @@ def _locate_crossings(path: SymplecticPath) -> list[float]:
     else:
         ts = np.linspace(0.0, 1.0, 257)
         d = _dets_minus_id(path, ts)
-    scale = max(1e-12, float(np.max(np.abs(d))))
-    found: list[float] = []
-    # sign-change cells (a, det at a, b), bisected together at the end
-    brackets: list[tuple[float, float, float]] = []
-
-    # odd-order zeros: sign changes
-    zero_thresh = 1e-13 * scale
-    for k in range(len(ts) - 1):
-        if d[k] == 0.0 and 0.0 < ts[k] < 1.0:
-            found.append(ts[k])
-        if d[k] * d[k + 1] < 0.0:
-            brackets.append((ts[k], d[k], ts[k + 1]))
-        elif abs(d[k]) <= zero_thresh or abs(d[k + 1]) <= zero_thresh:
-            # a cell bordered by an exact zero (typically the identity
-            # start) can hide a sign change behind the 0 * x = 0 product;
-            # sub-scan its interior
-            sub = np.linspace(ts[k], ts[k + 1], 10)[1:-1]
-            fs = _dets_minus_id(path, sub)
-            for j in range(len(sub) - 1):
-                if fs[j] * fs[j + 1] < 0.0:
-                    brackets.append((sub[j], fs[j], sub[j + 1]))
-
-    # even-order zeros: small |det| local minima without a sign change
     absd = np.abs(d)
-    for k in range(1, len(ts) - 1):
-        if absd[k] <= absd[k - 1] and absd[k] <= absd[k + 1] and absd[k] < 1e-3 * scale:
-            if d[k - 1] * d[k + 1] < 0.0:
-                continue  # already handled as a sign change
-            # a low dip can hide a close pair of transversal zeros; look
-            # for sign changes on a fine sub-grid before concluding the
-            # zero is tangential
-            sub = np.linspace(ts[k - 1], ts[k + 1], 65)
-            fs = _dets_minus_id(path, sub)
-            pair = False
-            for j in range(len(sub) - 1):
-                if fs[j] * fs[j + 1] < 0.0:
-                    brackets.append((sub[j], fs[j], sub[j + 1]))
-                    pair = True
-            if pair:
-                continue
+    scale = max(1e-12, float(np.max(absd)))
+    starts = ts[:-1]
+    found = starts[(d[:-1] == 0.0) & (0.0 < starts) & (starts < 1.0)].tolist()
+    brackets = [_sign_changes(ts, d)]
+
+    sign_change = d[:-1] * d[1:] < 0.0
+    zero_thresh = 1e-13 * scale
+    bordered = np.flatnonzero(
+        ~sign_change & ((absd[:-1] <= zero_thresh) | (absd[1:] <= zero_thresh)))
+    inner = absd[1:-1]
+    dips = 1 + np.flatnonzero((inner <= absd[:-2]) & (inner <= absd[2:])
+                              & (inner < 1e-3 * scale) & ~(d[:-2] * d[2:] < 0.0))
+    cell_subs = np.linspace(ts[bordered], ts[bordered + 1], 10, axis=-1)[:, 1:-1]
+    dip_subs = np.linspace(ts[dips - 1], ts[dips + 1], 65, axis=-1)
+    if cell_subs.size or dip_subs.size:
+        fs = _dets_minus_id(path, np.concatenate([cell_subs.ravel(), dip_subs.ravel()]))
+        cell_fs = fs[:cell_subs.size].reshape(cell_subs.shape)
+        dip_fs = fs[cell_subs.size:].reshape(dip_subs.shape)
+        brackets += [_sign_changes(cell_subs, cell_fs), _sign_changes(dip_subs, dip_fs)]
+        # a dip with no sign change on its sub-grid: a tangential zero?
+        for k in dips[~np.any(dip_fs[:, :-1] * dip_fs[:, 1:] < 0.0, axis=1)]:
             res = minimize_scalar(
                 lambda t: abs(_dets_minus_id(path, [t])[0]),
                 bounds=(ts[k - 1], ts[k + 1]),
@@ -272,16 +303,8 @@ def _locate_crossings(path: SymplecticPath) -> list[float]:
             if 0.0 < t0 < 1.0 and _kernel_of_crossing(path.at(t0)) is not None:
                 found.append(t0)
 
-    if brackets:
-        a, fa, b = (np.array(col) for col in zip(*brackets))
-
-        def left_of(i, mid):
-            fm = _dets_minus_id(path, mid)
-            left = fa[i] * fm <= 0.0
-            fa[i[~left]] = fm[~left]
-            return left
-
-        found.extend(_bisect_together(a, b, left_of).tolist())
+    a, fa, b = (np.concatenate(col) for col in zip(*brackets))
+    found += _bisect_together(a, fa, b, lambda t: _dets_minus_id(path, t))
     found.sort()
     merged: list[float] = []
     for t in found:
@@ -290,50 +313,73 @@ def _locate_crossings(path: SymplecticPath) -> list[float]:
     return [t for t in merged if 1e-9 < t < 1.0 - 1e-9]
 
 
-def _crossing_at(path: SymplecticPath, t: float, is_endpoint: bool) -> Crossing:
-    """Crossing form data at a parameter where 1 is an eigenvalue."""
-    M, S = _value_and_form(path, t)
-    V = _kernel_of_crossing(M)
-    if V is None:
-        raise IrregularCrossingError("no kernel at reported crossing t=%g" % t)
-    Q = V.T @ S @ V
-    w = np.linalg.eigvalsh(0.5 * (Q + Q.T))
-    reg = FORM_REG_TOL * max(1.0, float(np.max(np.abs(w))) if len(w) else 1.0)
-    if np.any(np.abs(w) <= reg):
-        raise IrregularCrossingError(
-            "degenerate crossing form at t=%g (eigenvalues %s)" % (t, w)
-        )
-    sig = int(np.sum(w > 0) - np.sum(w < 0))
-    return Crossing(float(t), V.shape[1], sig, is_endpoint)
+def _crossings_at(path: SymplecticPath, ts, is_endpoint: bool) -> list[Crossing]:
+    """Crossing form data at parameters where 1 is an eigenvalue.
+
+    One evaluation of the path at t + 1e-6, t - 1e-6 (clamped to [0, 1])
+    and t for every t gives Psi(t) and the crossing form, the symmetric
+    part of -J0 Psi'(t) Psi(t)^-1 by central differences.  The kernel and
+    the form's eigenvalues are then taken crossing by crossing, in order,
+    so the first irregular crossing raises ``IrregularCrossingError``.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if not len(ts):
+        return []
+    t0, t1 = np.maximum(0.0, ts - 1e-6), np.minimum(1.0, ts + 1e-6)
+    A1, A0, At = np.split(path.at_many(np.concatenate([t1, t0, ts])), 3)
+    dPsi = (A1 - A0) / (t1 - t0)[:, None, None]
+    M = -standard_j(path.n) @ dPsi @ np.linalg.inv(At)
+    forms = 0.5 * (M + np.swapaxes(M, 1, 2))
+    crossings = []
+    for t, Psi, S in zip(ts, At, forms):
+        V = _kernel_of_crossing(Psi)
+        if V is None:
+            raise IrregularCrossingError("no kernel at reported crossing t=%g" % t)
+        Q = V.T @ S @ V
+        w = np.linalg.eigvalsh(0.5 * (Q + Q.T))
+        reg = FORM_REG_TOL * max(1.0, float(np.max(np.abs(w))) if len(w) else 1.0)
+        if np.any(np.abs(w) <= reg):
+            raise IrregularCrossingError(
+                "degenerate crossing form at t=%g (eigenvalues %s)" % (t, w)
+            )
+        sig = int(np.sum(w > 0) - np.sum(w < 0))
+        crossings.append(Crossing(float(t), V.shape[1], sig, is_endpoint))
+    return crossings
 
 
 def _crossing_sum(path: SymplecticPath) -> CrossingReport:
     """All crossings of the path, endpoints weighted 1/2."""
-    crossings: list[Crossing] = []
-    for t in (0.0, 1.0):
-        if _kernel_of_crossing(path.at(t)) is not None:
-            crossings.append(_crossing_at(path, t, True))
-    crossings.extend(_crossing_at(path, t, False) for t in _locate_crossings(path))
+    ends = [t for t, M in zip((0.0, 1.0), path.at_many([0.0, 1.0]))
+            if _kernel_of_crossing(M) is not None]
+    crossings = _crossings_at(path, ends, True)
+    crossings += _crossings_at(path, _locate_crossings(path), False)
     crossings.sort(key=lambda c: c.t)
     total2 = sum(c.signature if c.is_endpoint else 2 * c.signature for c in crossings)
     return CrossingReport(tuple(crossings), total2)
 
 
 def _perturbed(path: SymplecticPath, delta: float) -> SymplecticPath:
-    """Right-multiply the path by e^{-delta t J0} (regularizes crossings)."""
-    n = path.n
-    J = standard_j(n)
-    eye = np.eye(2 * n)
+    """Right-multiply the path by e^{-delta t J0} (regularizes crossings).
+
+    The rotation factor is built on a parameter stack: a stacked source
+    evaluator gives a stacked evaluator, any other stays per-t.
+    """
+    J = standard_j(path.n)
+    eye = np.eye(path.dim)
 
     def rot(t):
         a = -delta * t
-        return np.cos(a) * eye + np.sin(a) * J
+        return np.cos(a)[:, None, None] * eye + np.sin(a)[:, None, None] * J
 
-    mats = np.stack([m @ rot(t) for t, m in zip(path.ts, path.mats)])
     f = path.matrix_at
-    call = None if f is None else (lambda t: np.asarray(f(t)) @ rot(t))
-    return SymplecticPath(path.ts.copy(), mats, path.starts_at_identity, False,
-                          path.tol, call)
+    if _is_stacked(f):
+        call = _stacked(lambda t: f(t) @ rot(t))
+    elif f is not None:
+        call = lambda t: np.asarray(f(t)) @ rot(np.array([t]))[0]
+    else:
+        call = None
+    return SymplecticPath(path.ts.copy(), path.mats @ rot(path.ts), path.starts_at_identity,
+                          False, path.tol, call)
 
 
 def _crossing_sum_robust(path: SymplecticPath) -> CrossingReport:

@@ -294,7 +294,7 @@ class SymplecticPath:
             raise InvalidPathError("parameter grid must be strictly increasing")
         if check_samples:
             worst = symplecticity_residual(self.mats)
-            if worst > self.tol:
+            if not worst <= self.tol:  # a NaN residual fails too
                 raise NotSymplecticError(
                     "worst sample symplecticity residual %.3e > tol %.3e" % (worst, self.tol)
                 )
@@ -618,9 +618,9 @@ def cayley_flow(A: np.ndarray, h) -> np.ndarray:
     Each step is one call of ``gesv``, the kernel ``numpy.linalg.solve``
     calls, so the samples have its bits; a singular factor raises
     ``LinAlgError`` as it does.  The error state is entered once for the
-    whole loop, since no user code runs in it; the products R @ Psi run
-    in it too, so in them an overflow passes silently and an invalid
-    value raises ``LinAlgError`` (that takes entries beyond about 1e154).
+    whole loop, since no user code runs in it.  An overflow raises
+    nothing: it can leave inf and NaN in the samples (``gesv`` clears the
+    floating-point flags of its own arithmetic), so a caller checks them.
     No faster solve keeps the bits: SciPy's ``lapack.dgesv``, linked to
     another OpenBLAS build, differs on 2 339 of 30 000 seeded 6 x 6
     systems, and solving all steps at once and multiplying the step
@@ -653,7 +653,8 @@ def path_from_symmetric(S: SymmetricFamily, steps: int = 256) -> SymplecticPath:
     The midpoint rule preserves quadratic invariants, so the samples stay
     close to Sp(2n); the symplecticity residual decreases like steps^-2.
     A singular Cayley factor, in the flow or in the evaluator's substep,
-    raises ``StepFailureError``.
+    and a flow that overflows to a non-finite sample raise
+    ``StepFailureError``.
     """
     if steps < 2:
         raise ParameterError("need at least 2 integration steps")
@@ -664,6 +665,9 @@ def path_from_symmetric(S: SymmetricFamily, steps: int = 256) -> SymplecticPath:
         mats = cayley_flow(A, np.diff(ts))
     except np.linalg.LinAlgError:
         raise cayley_failure(A, np.diff(ts), ts)
+    if not np.isfinite(mats).all():
+        t = float(ts[np.argmin(np.isfinite(mats).all(axis=(1, 2))) - 1])
+        raise StepFailureError("non-finite sample after the Cayley step from t=%g" % t, t)
     h = 1.0 / steps
 
     @_stacked
@@ -710,17 +714,6 @@ def recover_symmetric(P: SymplecticPath) -> SymmetricFamily:
     asym = float(np.max(np.abs(out - np.transpose(out, (0, 2, 1)))))
     sym = 0.5 * (out + np.transpose(out, (0, 2, 1)))
     return SymmetricFamily(ts.copy(), sym, tol=max(ALGEBRA_TOL, asym))
-
-
-def _value_and_form(P: SymplecticPath, t: float):
-    """(Psi(t), S(t)) from one evaluation of the path at t +- 1e-6 and t."""
-    J = standard_j(P.n)
-    t0 = max(0.0, t - 1e-6)
-    t1 = min(1.0, t + 1e-6)
-    A1, A0, At = P.at_many([t1, t0, t])
-    dPsi = (A1 - A0) / (t1 - t0)
-    M = -J @ dPsi @ np.linalg.inv(At)
-    return At, 0.5 * (M + M.T)
 
 
 def random_symplectic(n: int, rng: np.random.Generator, spread: float = 1.0) -> np.ndarray:

@@ -129,6 +129,20 @@ def test_python_m_symidx_singular_cayley_factor_is_a_step_failure(tmp_path):
     assert json.loads(proc.stdout)["error"]["error"] == "step-failure"
 
 
+@pytest.mark.parametrize("algorithm", ["maslov", "cz", "rs", "winding"])
+def test_python_m_symidx_overflowing_flow_is_a_step_failure(tmp_path, algorithm):
+    # J0 S = diag(-501.76, 501.76): every Cayley factor is regular, but the
+    # flow overflows to inf and NaN samples before t = 1
+    f = tmp_path / "overflow.json"
+    S = [[0.0, 501.76], [501.76, 0.0]]
+    f.write_text(json.dumps({"n": 1, "kind": "symmetric_family", "samples": [
+        {"t": 0.0, "matrix": S}, {"t": 1.0, "matrix": S}]}))
+    proc = run_module(["index", algorithm, "--input", str(f)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["error"] == "step-failure"
+
+
 @pytest.fixture(scope="module")
 def usage_and_valid_calls(tmp_path_factory):
     """A usage error and a valid call on one input file, each with the

@@ -13,6 +13,7 @@ from symidx.errors import (
     DimensionError,
     EndpointDegenerateError,
     InvalidPathError,
+    IrregularCrossingError,
     ParameterError,
     ResolutionError,
 )
@@ -29,11 +30,12 @@ from symidx.index import (
     truncated_loop_operator,
     winding_interval,
 )
-from symidx import index
+from symidx import index, splin
 from symidx.splin import (
     SymmetricFamily,
     SymmetricFamily2,
     SymplecticPath,
+    _stacked,
     constant_path,
     exp_path,
     path_from_symmetric,
@@ -539,12 +541,54 @@ def first_cell_loop_product():
     return rotation_path(1, 4 * np.pi).product(path_from_symmetric(fam, 256))
 
 
-@pytest.mark.parametrize("n, seed", [(1, 0), (1, 1), (2, 0), (2, 3)])
-def test_one_pass_bisection_matches_serial(n, seed):
-    P = random_admissible_path(np.random.default_rng([seed, 8]), n, 3.0)
+def seeded_path(n, seed):
+    return random_admissible_path(np.random.default_rng([seed, 8]), n, 3.0)
+
+
+def close_pair_in_one_dip():
+    """Sp(2) path [[x, 1], [x - 1, 1]], x = 1 + 1e-6 - (t - 0.4321)^2, on 193
+    samples: det(Psi - I) = 1 - x changes sign at 0.4311 and 0.4331, both
+    inside the dip of |det| at the grid point nearest 0.4321."""
+
+    @_stacked
+    def call(t):
+        x = 1.0 + 1e-6 - (t - 0.4321) ** 2
+        out = np.ones((len(t), 2, 2))
+        out[:, 0, 0], out[:, 1, 0] = x, x - 1.0
+        return out
+
+    ts = np.linspace(0.0, 1.0, 193)
+    return SymplecticPath(ts, call(ts), False, False, 1e-9, call)
+
+
+def per_t_copy(P):
+    """P with its evaluator called one parameter at a time."""
+    f = P.matrix_at
+    return SymplecticPath(P.ts, P.mats, P.starts_at_identity, P.closed, P.tol,
+                          lambda t: np.asarray(f(t)))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: seeded_path(1, 0), id="1-0"),
+    pytest.param(lambda: seeded_path(1, 1), id="1-1"),
+    pytest.param(lambda: seeded_path(2, 0), id="2-0"),
+    pytest.param(lambda: seeded_path(2, 3), id="2-3"),
+    pytest.param(close_pair_in_one_dip, id="close-pair-in-one-dip"),
+    # tangential zeros at t = 0.4 and 0.8: two bounded minimizations
+    pytest.param(lambda: rotation_path(1, 5 * np.pi), id="rotation-5pi"),
+    pytest.param(lambda: sampled(seeded_path(2, 3), 193), id="sp4-no-evaluator"),
+    pytest.param(lambda: per_t_copy(seeded_path(2, 3)), id="sp4-per-t-evaluator"),
+])
+def test_one_pass_bisection_matches_serial(make):
+    P = make()
     got = index._locate_crossings(P)
     assert len(got) >= 2
     assert got == serial_locate_crossings(P)
+
+
+def test_close_pair_in_one_dip_found():
+    got = index._locate_crossings(close_pair_in_one_dip())
+    assert np.allclose(got, [0.4311, 0.4331], rtol=0.0, atol=1e-9)
 
 
 def test_one_pass_bisection_first_cell_bracket():
@@ -552,6 +596,124 @@ def test_one_pass_bisection_first_cell_bracket():
     got = index._locate_crossings(Q)
     assert len(got) == 1 and 0.0 < got[0] < Q.ts[1]
     assert got == serial_locate_crossings(Q)
+
+
+def serial_crossing_at(path, t, is_endpoint):
+    """Reference crossing form: one crossing, one evaluation of the path."""
+    J = standard_j(path.n)
+    t0, t1 = max(0.0, t - 1e-6), min(1.0, t + 1e-6)
+    A1, A0, M = path.at_many([t1, t0, t])
+    F = -J @ ((A1 - A0) / (t1 - t0)) @ np.linalg.inv(M)
+    S = 0.5 * (F + F.T)
+    V = index._kernel_of_crossing(M)
+    if V is None:
+        raise IrregularCrossingError("no kernel at reported crossing t=%g" % t)
+    Q = V.T @ S @ V
+    w = np.linalg.eigvalsh(0.5 * (Q + Q.T))
+    reg = index.FORM_REG_TOL * max(1.0, float(np.max(np.abs(w))) if len(w) else 1.0)
+    if np.any(np.abs(w) <= reg):
+        raise IrregularCrossingError("degenerate crossing form at t=%g (eigenvalues %s)"
+                                     % (t, w))
+    return index.Crossing(float(t), V.shape[1], int(np.sum(w > 0) - np.sum(w < 0)),
+                          is_endpoint)
+
+
+def serial_crossing_sum(path):
+    """Reference crossing sum: the forms taken one crossing at a time."""
+    crossings = [serial_crossing_at(path, t, True) for t in (0.0, 1.0)
+                 if index._kernel_of_crossing(path.at(t)) is not None]
+    crossings += [serial_crossing_at(path, t, False) for t in index._locate_crossings(path)]
+    crossings.sort(key=lambda c: c.t)
+    total = sum(c.signature if c.is_endpoint else 2 * c.signature for c in crossings)
+    return index.CrossingReport(tuple(crossings), total)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: seeded_path(1, 0),
+    lambda: seeded_path(2, 3),
+    lambda: seeded_path(3, 1),
+    lambda: sampled(seeded_path(2, 0), 97),
+    lambda: per_t_copy(seeded_path(1, 1)),
+    lambda: rotation_path(2, 5 * np.pi),
+    lambda: seeded_path(1, 2).direct_sum(rotation_path(1, 7.0)),
+    close_pair_in_one_dip,
+])
+def test_crossing_report_matches_per_crossing_forms(make):
+    P = make()
+    rep = crossing_report(P)
+    assert len(rep.crossings) >= 2
+    assert rep == serial_crossing_sum(P)
+
+
+def test_first_irregular_crossing_raises_as_per_crossing_forms():
+    # the constant identity: the degenerate form at t = 0 raises first
+    P = constant_path(np.eye(2))
+    with pytest.raises(IrregularCrossingError) as ref:
+        serial_crossing_sum(P)
+    with pytest.raises(IrregularCrossingError, match="^degenerate crossing form at t=0 ") as got:
+        index._crossing_sum(P)
+    assert str(got.value) == str(ref.value)
+
+
+def counting_copy(P):
+    """P with a stacked evaluator that records the size of every call."""
+    calls = []
+    f = P.matrix_at
+
+    def fn(t):
+        calls.append(len(t))
+        return f(t)
+
+    return SymplecticPath(P.ts, P.mats, P.starts_at_identity, P.closed, P.tol,
+                          _stacked(fn)), calls
+
+
+def test_crossing_scan_evaluator_round_trips():
+    P = seeded_path(2, 0)
+    Q, calls = counting_copy(P)
+    assert cz_rs(Q) == cz_rs(P)
+    assert len(calls) <= 14
+    # the perturbation fallback runs on stacks: one call per grid, not per t
+    Q, calls = counting_copy(constant_path(np.eye(2)))
+    assert rs_index(Q).doubled == -2
+    assert len(calls) <= 20
+
+
+def per_t_perturbed(path, delta):
+    """Reference: right-multiply by e^{-delta t J0} one parameter at a time."""
+    J, eye = standard_j(path.n), np.eye(path.dim)
+
+    def rot(t):
+        a = -delta * t
+        return np.cos(a) * eye + np.sin(a) * J
+
+    mats = np.stack([m @ rot(t) for t, m in zip(path.ts, path.mats)])
+    return mats, (lambda t: np.asarray(path.matrix_at(t)) @ rot(t))
+
+
+@pytest.mark.parametrize("delta", index.PERTURB_DELTAS[::3] + (0.37,))
+def test_perturbed_stacked_matches_per_t_formula(delta):
+    ts = np.concatenate([np.linspace(0.0, 1.0, 33), [1e-7, 0.4321, 0.999]])
+    for P in (seeded_path(2, 0), rotation_path(1, 5 * np.pi), constant_path(np.eye(4))):
+        Q = index._perturbed(P, delta)
+        assert splin._is_stacked(Q.matrix_at)
+        mats, call = per_t_perturbed(P, delta)
+        assert Q.mats.tobytes() == mats.tobytes()
+        assert Q.at_many(ts).tobytes() == np.stack([call(float(t)) for t in ts]).tobytes()
+    # a per-t evaluator stays per-t, with the same rows
+    P = per_t_copy(seeded_path(1, 1))
+    Q = index._perturbed(P, delta)
+    assert not splin._is_stacked(Q.matrix_at)
+    _, call = per_t_perturbed(P, delta)
+    assert Q.at_many(ts).tobytes() == np.stack([call(float(t)) for t in ts]).tobytes()
+    assert index._perturbed(sampled(P, 65), delta).matrix_at is None
+
+
+@pytest.mark.parametrize("n, doubled", [(1, -2), (2, -4)])
+def test_rs_index_of_constant_identity_through_stacked_fallback(n, doubled):
+    # the perturbation fallback's value, which the zero axiom says should be 0
+    # (ROADMAP item 1); kept as it is until the crossing scan is replaced
+    assert rs_index(constant_path(np.eye(2 * n))).doubled == doubled
 
 
 @pytest.mark.parametrize("s_samples", [129, 257])

@@ -322,6 +322,13 @@ class TestGesvKernel:
             path_from_symmetric(self.constant_family(512.0))
         assert err.value.t == 0.0
 
+    def test_overflowing_flow_is_step_failure(self):
+        # h J0 S / 2 = diag(-0.98, 0.98) at h = 1/256: no factor is singular,
+        # but the flow grows 99-fold per step and overflows after step 154
+        with pytest.raises(StepFailureError, match=r"^non-finite sample") as err:
+            path_from_symmetric(self.constant_family(501.76))
+        assert err.value.t == 154 / 256
+
     def test_singular_evaluator_substep_is_step_failure(self):
         # the 1/256 steps are regular at a = 1024; a substep of 1/512 is not
         P = path_from_symmetric(self.constant_family(1024.0))
@@ -496,6 +503,12 @@ class TestPathAlgebra:
         bad.mats[0] = np.diag([2.0, 0.5])
         with pytest.raises(InvalidPathError):
             bad.validate()
+
+    def test_validate_rejects_a_nan_sample(self):
+        P = rotation_path(1, 1.0)
+        P.mats[100, 1, 1] = np.nan
+        with pytest.raises(NotSymplecticError, match="nan"):
+            P.validate()
 
     def test_product_inverse(self):
         rng = np.random.default_rng(13)
