@@ -39,7 +39,7 @@ from .errors import (
     ParameterError,
     StepFailureError,
 )
-from .index import cz_rs
+from .index import cz_rs, endpoint_degeneracy
 from .splin import (
     SymplecticPath,
     cayley_failure,
@@ -385,24 +385,21 @@ def monodromy_and_cz(sys: HamiltonianSystem, orbit: PeriodicOrbit):
     The monodromy path is the linearized flow along the orbit's stored
     trajectory: one Cayley step of J Hess H at each step's midpoint, at
     the trajectory's step size, on the unit time grid; a singular step
-    raises ``StepFailureError``.  Nondegenerate iff |det(Psi(1) - I)| >
-    1e-6 (1 is not an eigenvalue of the time-1 monodromy); then both
-    normalizations of the Conley-Zehnder index of the monodromy path are
-    returned as {"standard": .., "canonical": ..}.
+    raises ``StepFailureError``.  Nondegenerate iff the endpoint test of
+    ``cz_rs`` at tol 1e-9 (``index.endpoint_degeneracy``) finds
+    sigma_min(Psi(1) - I) > 1e-7 max(1, ||Psi(1)||_2); then both normalizations
+    of its Conley-Zehnder index are returned as {"standard": .., "canonical": ..}.
     """
     zs = orbit.trajectory.zs
     h = orbit.period / (len(zs) - 1)
-    J, eye = sys.J, np.eye(2 * sys.n)
     Hs = np.array([sys.hess(mid) for mid in 0.5 * (zs[:-1] + zs[1:])])
-    A = J @ Hs
+    A = sys.J @ Hs
     try:
         mats = cayley_flow(A, h)
     except np.linalg.LinAlgError:
         raise cayley_failure(A, h, h * np.arange(len(A)))
     path = SymplecticPath(np.linspace(0.0, 1.0, len(zs)), mats, True, False, 1e-6)
-    path.validate(check_samples=False)
-    nondeg = abs(np.linalg.det(path.endpoint() - eye)) > 1e-6
-    if not nondeg:
+    if endpoint_degeneracy(path.endpoint(), 1e-9)[0]:
         return path, False, None
     std = cz_rs(path)
     return path, True, {"standard": std, "canonical": std.in_normalization("canonical")}

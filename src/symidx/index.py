@@ -48,7 +48,6 @@ from .splin import (
     SymmetricFamily,
     SymmetricFamily2,
     SymplecticPath,
-    _is_stacked,
     _piecewise,
     _stacked,
     rho,
@@ -347,10 +346,12 @@ def _crossings_at(path: SymplecticPath, ts, is_endpoint: bool) -> list[Crossing]
     return crossings
 
 
-def _crossing_sum(path: SymplecticPath) -> CrossingReport:
-    """All crossings of the path, endpoints weighted 1/2."""
-    ends = [t for t, M in zip((0.0, 1.0), path.at_many([0.0, 1.0]))
-            if _kernel_of_crossing(M) is not None]
+def _crossing_sum(path: SymplecticPath, ends=None) -> CrossingReport:
+    """All crossings of the path, endpoints weighted 1/2; ``ends`` holds
+    Psi(0) and Psi(1) when the caller has read them."""
+    if ends is None:
+        ends = path.at_many([0.0, 1.0])
+    ends = [t for t, M in zip((0.0, 1.0), ends) if _kernel_of_crossing(M) is not None]
     crossings = _crossings_at(path, ends, True)
     crossings += _crossings_at(path, _locate_crossings(path), False)
     crossings.sort(key=lambda c: c.t)
@@ -359,11 +360,8 @@ def _crossing_sum(path: SymplecticPath) -> CrossingReport:
 
 
 def _perturbed(path: SymplecticPath, delta: float) -> SymplecticPath:
-    """Right-multiply the path by e^{-delta t J0} (regularizes crossings).
-
-    The rotation factor is built on a parameter stack: a stacked source
-    evaluator gives a stacked evaluator, any other stays per-t.
-    """
+    """Right-multiply the path by e^{-delta t J0} (regularizes crossings),
+    on parameter stacks."""
     J = standard_j(path.n)
     eye = np.eye(path.dim)
 
@@ -372,19 +370,14 @@ def _perturbed(path: SymplecticPath, delta: float) -> SymplecticPath:
         return np.cos(a)[:, None, None] * eye + np.sin(a)[:, None, None] * J
 
     f = path.matrix_at
-    if _is_stacked(f):
-        call = _stacked(lambda t: f(t) @ rot(t))
-    elif f is not None:
-        call = lambda t: np.asarray(f(t)) @ rot(np.array([t]))[0]
-    else:
-        call = None
+    call = None if f is None else _stacked(lambda t: f(t) @ rot(t))
     return SymplecticPath(path.ts.copy(), path.mats @ rot(path.ts), path.starts_at_identity,
                           False, path.tol, call)
 
 
-def _crossing_sum_robust(path: SymplecticPath) -> CrossingReport:
+def _crossing_sum_robust(path: SymplecticPath, ends=None) -> CrossingReport:
     try:
-        return _crossing_sum(path)
+        return _crossing_sum(path, ends)
     except IrregularCrossingError:
         pass
     prev = None
@@ -403,11 +396,17 @@ def _crossing_sum_robust(path: SymplecticPath) -> CrossingReport:
     )
 
 
-def _check_endpoint_nondegenerate(path: SymplecticPath, tol: float):
-    M = path.at(1.0)
-    A = M - np.eye(len(M))
-    smin = float(np.linalg.svd(A, compute_uv=False)[-1])
-    if smin <= max(tol, KERNEL_SVD_FACTOR) * _matrix_scale(M):
+def endpoint_degeneracy(M: np.ndarray, tol: float) -> tuple[bool, float]:
+    """(whether 1 is an eigenvalue of the endpoint M, sigma_min(M - I)): the
+    one test of an endpoint against the Maslov cycle, sigma_min(M - I) <=
+    max(tol, KERNEL_SVD_FACTOR) * max(1, ||M||_2)."""
+    smin = float(np.linalg.svd(M - np.eye(len(M)), compute_uv=False)[-1])
+    return smin <= max(tol, KERNEL_SVD_FACTOR) * _matrix_scale(M), smin
+
+
+def _check_endpoint_nondegenerate(M: np.ndarray, tol: float):
+    degenerate, smin = endpoint_degeneracy(M, tol)
+    if degenerate:
         raise EndpointDegenerateError(
             "1 is an eigenvalue of the endpoint within tolerance "
             "(smallest singular value %.3e)" % smin
@@ -424,8 +423,9 @@ def cz_rs(P: SymplecticPath, tol: float = 1e-9) -> IndexValue:
     P.validate()
     if not P.starts_at_identity:
         raise InvalidPathError("Conley-Zehnder index needs an identity-based path")
-    _check_endpoint_nondegenerate(P, tol)
-    rep = _crossing_sum_robust(P)
+    ends = P.at_many([0.0, 1.0])
+    _check_endpoint_nondegenerate(ends[1], tol)
+    rep = _crossing_sum_robust(P, ends)
     if rep.total_doubled % 2:
         raise ConvergenceError(
             "crossing sum %s is not an integer; crossings were missed"
@@ -596,7 +596,7 @@ def cz_winding(P: SymplecticPath) -> tuple[IndexValue, WindingInterval]:
         raise DimensionError("winding-interval algorithm is Sp(2) only")
     if not P.starts_at_identity:
         raise InvalidPathError("needs an identity-based path")
-    _check_endpoint_nondegenerate(P, 1e-9)
+    _check_endpoint_nondegenerate(P.at(1.0), 1e-9)
     lo, hi = winding_interval(P)
     if hi - lo >= 0.5:
         raise ConvergenceError(
@@ -705,8 +705,8 @@ def cz_degree_sp2(P: SymplecticPath, ext_samples: int = 257) -> IndexValue:
         raise DimensionError("extension-degree algorithm is Sp(2) only")
     if not P.starts_at_identity:
         raise InvalidPathError("needs an identity-based path")
-    _check_endpoint_nondegenerate(P, 1e-9)
     V = P.at(1.0)
+    _check_endpoint_nondegenerate(V, 1e-9)
     sign0 = np.sign(np.linalg.det(V - np.eye(2)))
     for samples in (ext_samples, 4 * ext_samples):
         ext = _extension_path_sp2(V, samples)

@@ -82,6 +82,27 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _boolean(value, what: str) -> bool:
+    """true or false; strings and numbers such as "false" or 0 are rejected."""
+    if not isinstance(value, bool):
+        raise FileFormatError("%s must be true or false, got %r" % (what, value))
+    return value
+
+
+def _entries(doc_entries, what: str) -> list[tuple]:
+    """[from, to(, count)] entries with string ids and an integer count."""
+    if not isinstance(doc_entries, list):
+        raise FileFormatError("%s must be a list of entries" % what)
+    for k, e in enumerate(doc_entries):
+        if not (isinstance(e, list) and len(e) in (2, 3)
+                and all(isinstance(i, str) for i in e[:2])):
+            raise FileFormatError("%s entry %d must be [from, to(, count)] with string ids"
+                                  % (what, k))
+        for count in e[2:]:
+            _integer(count, "%s entry %d count" % (what, k))
+    return [tuple(e) for e in doc_entries]
+
+
 def file_digest(path: Union[str, Path]) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -118,35 +139,28 @@ def load_path(source) -> SymplecticPath:
         raise FileFormatError("expected kind 'path', got %r" % doc["kind"])
     n = _integer(doc["n"], "n", 1)
     ts, mats = _samples(doc["samples"], n)
-    start_id = doc.get(
-        "starts_at_identity",
-        bool(np.max(np.abs(mats[0] - np.eye(2 * n))) < 1e-7),
-    )
+    start_id = doc.get("starts_at_identity", bool(np.max(np.abs(mats[0] - np.eye(2 * n))) < 1e-7))
     closed = doc.get("closed", bool(np.max(np.abs(mats[-1] - mats[0])) < 1e-7))
-    return SymplecticPath(ts, mats, bool(start_id), bool(closed)).validate()
+    return SymplecticPath(ts, mats, _boolean(start_id, "starts_at_identity"),
+                          _boolean(closed, "closed")).validate()
 
 
 def load_family(source):
     """SymmetricFamily, or SymmetricFamily2 when samples_2d is present."""
     doc = _load_json(source)
-    if "samples_2d" in doc:
-        _check_keys(doc, {"n", "kind", "samples_2d"}, set(), "family file")
-        if doc["kind"] != "symmetric_family":
-            raise FileFormatError("expected kind 'symmetric_family'")
-        n = _integer(doc["n"], "n", 1)
-        ss, slices = [], []
-        for k, row in enumerate(doc["samples_2d"]):
-            _check_keys(row, {"s", "rows"}, what="samples_2d entry %d" % k)
-            ss.append(_real(row["s"], "samples_2d entry %d s" % k))
-            ts, mats = _samples(row["rows"], n)
-            slices.append(SymmetricFamily(ts, mats).validate())
-        return SymmetricFamily2(np.array(ss), slices)
-    _check_keys(doc, {"n", "kind", "samples"}, set(), "family file")
+    key = "samples_2d" if "samples_2d" in doc else "samples"
+    _check_keys(doc, {"n", "kind", key}, set(), "family file")
     if doc["kind"] != "symmetric_family":
         raise FileFormatError("expected kind 'symmetric_family'")
     n = _integer(doc["n"], "n", 1)
-    ts, mats = _samples(doc["samples"], n)
-    return SymmetricFamily(ts, mats).validate()
+    if key == "samples":
+        return SymmetricFamily(*_samples(doc["samples"], n)).validate()
+    ss, slices = [], []
+    for k, row in enumerate(doc["samples_2d"]):
+        _check_keys(row, {"s", "rows"}, what="samples_2d entry %d" % k)
+        ss.append(_real(row["s"], "samples_2d entry %d s" % k))
+        slices.append(SymmetricFamily(*_samples(row["rows"], n)).validate())
+    return SymmetricFamily2(np.array(ss), slices)
 
 
 def dump_path(P: SymplecticPath) -> dict:
@@ -237,12 +251,7 @@ def load_complex(source) -> ChainComplex:
         _check_keys(g, {"id", "doubled_degree"}, {"action"}, "generator %d" % k)
         gens.append((g["id"], _integer(g["doubled_degree"], "generator %d doubled_degree" % k),
                      g.get("action")))
-    entries = []
-    for k, e in enumerate(doc["boundary"]):
-        if not isinstance(e, list) or len(e) not in (2, 3):
-            raise FileFormatError("boundary entry %d must be [from, to(, count)]" % k)
-        entries.append(tuple(e))
-    return build_complex(gens, entries)
+    return build_complex(gens, _entries(doc["boundary"], "boundary"))
 
 
 def load_morse_bott(source) -> MorseBottData:
@@ -261,6 +270,5 @@ def load_morse_bott(source) -> MorseBottData:
                                    _real(c["action"], what + "action"),
                                    _integer(c["rs_trans_doubled"], what + "rs_trans_doubled"),
                                    tuple(pts)))
-    casc = [tuple(e) for e in doc.get("cascades", [])]
-    intra = [tuple(e) for e in doc.get("intra", [])]
-    return MorseBottData(comps, casc, intra)
+    return MorseBottData(comps, _entries(doc.get("cascades", []), "cascades"),
+                         _entries(doc.get("intra", []), "intra"))

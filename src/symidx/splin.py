@@ -18,13 +18,13 @@ Paths and families are evaluated on stacks: ``at_many(ts)`` returns one
 matrix per parameter, shape (m, dim, dim), from the exact evaluator
 ``matrix_at`` when there is one and otherwise from one piecewise-linear
 interpolator shared by ``SymplecticPath`` and ``SymmetricFamily``; ``at(t)``
-is the one-parameter case.  ``rho`` and ``symplecticity_residual`` take
-a single matrix or a stack (..., 2n, 2n).
+is ``at_many([t])[0]``.  ``rho`` and ``symplecticity_residual`` take a
+single matrix or a stack (..., 2n, 2n).
 
-The evaluators the library builds run on stacks: given a parameter array
-of shape (m,) they return (m, dim, dim), and given a float one matrix, so
-``at_many`` calls them once.  An evaluator supplied by the user is scalar
-(one parameter, one matrix) and is called once per parameter.
+Every evaluator a path or family holds maps a parameter array (m,) to
+(m, dim, dim) in one call, and a float to one matrix.  The constructor
+adapts a user evaluator, one float to one matrix, to one that calls it
+once per parameter, with a Python float, and stacks the results.
 """
 
 from __future__ import annotations
@@ -256,10 +256,7 @@ class SymplecticPath:
     ``mats[k]`` is the sample at parameter ``ts[k]``.  An optional exact
     evaluator ``matrix_at`` enables grid refinement (degree computations,
     crossing bisection); without it, evaluation between samples falls
-    back to linear interpolation of entries.  Evaluators built by the
-    library take a parameter stack (m,) to (m, 2n, 2n) as well as a float
-    to one matrix, and ``at_many`` calls them once; a user evaluator maps
-    one float to one matrix and is called once per parameter.
+    back to linear interpolation of entries.
     """
 
     ts: np.ndarray
@@ -278,6 +275,7 @@ class SymplecticPath:
             raise DimensionError("odd matrix dimension")
         if len(self.ts) != len(self.mats):
             raise InvalidPathError("grid and sample counts differ")
+        self.matrix_at = _adapted(self.matrix_at)
 
     @property
     def n(self) -> int:
@@ -287,17 +285,16 @@ class SymplecticPath:
     def dim(self) -> int:
         return self.mats.shape[1]
 
-    def validate(self, check_samples: bool = True):
+    def validate(self):
         if len(self.ts) < 2 or self.ts[0] != 0.0 or self.ts[-1] != 1.0:
             raise InvalidPathError("parameter grid must run from 0 to 1")
         if np.any(np.diff(self.ts) <= 0):
             raise InvalidPathError("parameter grid must be strictly increasing")
-        if check_samples:
-            worst = symplecticity_residual(self.mats)
-            if not worst <= self.tol:  # a NaN residual fails too
-                raise NotSymplecticError(
-                    "worst sample symplecticity residual %.3e > tol %.3e" % (worst, self.tol)
-                )
+        worst = symplecticity_residual(self.mats)
+        if not worst <= self.tol:  # a NaN residual fails too
+            raise NotSymplecticError(
+                "worst sample symplecticity residual %.3e > tol %.3e" % (worst, self.tol)
+            )
         if self.starts_at_identity:
             if np.max(np.abs(self.mats[0] - np.eye(self.dim))) > max(self.tol, 1e-7):
                 raise InvalidPathError("path flagged as identity-start but is not")
@@ -308,8 +305,6 @@ class SymplecticPath:
 
     def at(self, t: float) -> np.ndarray:
         """Evaluate at parameter t, exactly if possible."""
-        if self.matrix_at is not None:
-            return np.asarray(self.matrix_at(float(t)), dtype=float)
         return self.at_many([t])[0]
 
     def at_many(self, ts) -> np.ndarray:
@@ -358,13 +353,9 @@ class SymplecticPath:
         mats = np.concatenate([self.mats, other.mats[1:]])
         fa, fb = self.matrix_at, other.matrix_at
         call = None
-        if _is_stacked(fa) and _is_stacked(fb):
+        if fa is not None and fb is not None:
             call = _stacked(lambda t: _piecewise(t, t <= 0.5, lambda u: fa(2.0 * u),
                                                  lambda u: fb(2.0 * u - 1.0), self.dim))
-        elif fa is not None and fb is not None:
-            call = lambda t: (
-                np.asarray(fa(2.0 * t)) if t <= 0.5 else np.asarray(fb(2.0 * t - 1.0))
-            )
         return SymplecticPath(
             ts, mats, self.starts_at_identity, False, max(self.tol, other.tol), call
         )
@@ -394,6 +385,15 @@ def _is_stacked(matrix_at) -> bool:
     return getattr(matrix_at, "_stacked", False)
 
 
+def _adapted(matrix_at):
+    """``matrix_at`` as a stack evaluator: an unmarked (user) one is called
+    once per parameter, with a Python float; others are returned as is."""
+    if matrix_at is None or _is_stacked(matrix_at):
+        return matrix_at
+    return _stacked(lambda t: np.stack([np.asarray(matrix_at(s), dtype=float)
+                                        for s in t.tolist()]))
+
+
 def _piecewise(t: np.ndarray, first: np.ndarray, f, g, dim: int) -> np.ndarray:
     """Stack (m, dim, dim) with rows f(t[first]) where ``first`` holds and
     g(t[~first]) elsewhere; each piece is called only on a non-empty part."""
@@ -407,16 +407,12 @@ def _piecewise(t: np.ndarray, first: np.ndarray, f, g, dim: int) -> np.ndarray:
 def _sample(matrix_at, grid: np.ndarray, mats: np.ndarray, ts) -> np.ndarray:
     """Stack of values at ``ts``: the exact evaluator if any, else interpolation.
 
-    A library evaluator gets the whole stack in one call, a user evaluator
-    one parameter at a time.  The piecewise-linear interpolation of the
-    samples ``mats`` on ``grid`` clamps parameters to the grid's ends and
-    uses the same formula for every parameter, so one row equals a
-    one-parameter call.
+    The piecewise-linear interpolation of the samples ``mats`` on ``grid``
+    clamps parameters to the grid's ends and uses the same formula for
+    every parameter, so one row equals a one-parameter call.
     """
-    if _is_stacked(matrix_at):
-        return np.asarray(matrix_at(np.asarray(ts, dtype=float)), dtype=float)
     if matrix_at is not None:
-        return np.stack([np.asarray(matrix_at(float(t)), dtype=float) for t in ts])
+        return np.asarray(matrix_at(np.asarray(ts, dtype=float)), dtype=float)
     k, w = _bracket(grid, ts)
     return (1.0 - w[:, None, None]) * mats[k] + w[:, None, None] * mats[k + 1]
 
@@ -435,8 +431,8 @@ def _pointwise(fn, paths, starts_at_identity: bool, closed: bool,
 
     Sampled on ``ts`` (default: the union of the source grids) through
     ``at_many``, unless ``samples`` holds the sources' stacks on ``ts``.
-    The result has an exact evaluator only when every source has one; it
-    runs on stacks when every source's does and there is no ``phi``.
+    The result has an exact evaluator only when every source has one.
+    ``phi`` is applied one parameter at a time, to a Python float.
     """
     if ts is None:
         ts = reduce(np.union1d, [P.ts for P in paths])
@@ -445,17 +441,13 @@ def _pointwise(fn, paths, starts_at_identity: bool, closed: bool,
         samples = [P.at_many(at) for P in paths]
     calls = [P.matrix_at for P in paths]
     call = None
-    if phi is None and all(_is_stacked(f) for f in calls):
+    if all(f is not None for f in calls):
 
         @_stacked
         def call(t):
+            if phi is not None:
+                t = np.array([phi(s) for s in t.tolist()], dtype=float)
             return fn(*(f(t) for f in calls))
-
-    elif all(f is not None for f in calls):
-        phi = phi or (lambda t: t)
-
-        def call(t):
-            return fn(*(np.asarray(f(phi(t)), dtype=float)[None] for f in calls))[0]
 
     return SymplecticPath(ts, fn(*samples), starts_at_identity, closed,
                           max(P.tol for P in paths), call)
@@ -501,10 +493,9 @@ def constant_path(M: np.ndarray, samples: int = 2) -> SymplecticPath:
 class SymmetricFamily:
     """Sampled family S(t) of symmetric matrices on a monotone grid.
 
-    The optional exact evaluator ``matrix_at`` follows the contract of
-    ``SymplecticPath``: a library evaluator runs on a parameter stack and
-    on a float, a user evaluator on one float per call.  For
-    two-parameter families S(s, t) see ``SymmetricFamily2``.
+    The optional exact evaluator ``matrix_at`` follows the contract of the
+    module docstring.  For two-parameter families S(s, t) see
+    ``SymmetricFamily2``.
     """
 
     ts: np.ndarray
@@ -517,6 +508,7 @@ class SymmetricFamily:
         self.mats = np.asarray(self.mats, dtype=float)
         if np.any(np.diff(self.ts) <= 0):
             raise ParameterError("grid must be strictly increasing")
+        self.matrix_at = _adapted(self.matrix_at)
 
     @property
     def dim(self) -> int:
@@ -529,8 +521,6 @@ class SymmetricFamily:
         return self
 
     def at(self, t: float) -> np.ndarray:
-        if self.matrix_at is not None:
-            return np.asarray(self.matrix_at(float(t)), dtype=float)
         return self.at_many([t])[0]
 
     def at_many(self, ts) -> np.ndarray:

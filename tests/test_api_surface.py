@@ -94,3 +94,16 @@ def test_scan_finds_the_package_parameters():
 
 def test_every_defaulted_parameter_is_passed_somewhere():
     assert never_passed() == []
+
+
+def test_stack_marker_is_read_only_in_splin():
+    # every evaluator a path or family holds runs on stacks (splin adapts user
+    # evaluators on construction), so no other module branches on the marker
+    readers = set()
+    for path, tree in _trees(sorted(PACKAGE.glob("*.py"))):
+        for node in ast.walk(tree):
+            # a name, an attribute, an imported alias or a definition
+            names = (getattr(node, key, None) for key in ("id", "attr", "name"))
+            if "_is_stacked" in names:
+                readers.add(path.name)
+    assert readers == {"splin.py"}

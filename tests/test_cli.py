@@ -162,6 +162,17 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["error"]["error"] == "parameter"
 
+    @pytest.mark.parametrize("flag, value", [("starts_at_identity", "false"), ("closed", 0)])
+    def test_non_boolean_flag_is_file_format_error(self, capsys, tmp_path, flag, value):
+        doc = dump_path(rotation_path(1, np.pi / 2))
+        doc[flag] = value
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        code, out = run(capsys, ["index", "cz", "--input", str(f)])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["error"] == "file-format" and flag in err["message"]
+
     def test_bad_file_is_domain_error(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text("{}")
@@ -242,6 +253,27 @@ class TestChainCommand:
         assert doc["result"]["betti"] == {"0": 1, "2": 1}
 
 
+    @pytest.mark.parametrize("command, doc", [
+        ("cascade", {"intra": [["q"]]}),
+        ("cascade", {"intra": [["q", "p", "x"]]}),
+        ("homology", {"generators": [{"id": "a", "doubled_degree": 2},
+                                     {"id": "b", "doubled_degree": 0}],
+                      "boundary": [["a", "b", "one"]]}),
+    ])
+    def test_malformed_entry_is_file_format_error(self, capsys, tmp_path, command, doc):
+        if command == "cascade":
+            doc["components"] = [
+                {"id": "c", "dim": 0, "action": 0.0, "rs_trans_doubled": 0,
+                 "morse_points": [{"id": "p", "morse_index": 0},
+                                  {"id": "q", "morse_index": 1}]}]
+        f = tmp_path / "chain.json"
+        f.write_text(json.dumps(doc))
+        code, out = run(capsys, ["chain", command, "--input", str(f)])
+        assert code == 1
+        assert "Traceback" not in out
+        assert json.loads(out)["error"]["error"] == "file-format"
+
+
 class TestChernCommand:
     def test_c1(self, capsys, tmp_path):
         f = tmp_path / "cl.json"
@@ -290,6 +322,19 @@ class TestDynCommand:
         code, out = run(capsys, ["dyn", action, "--input", harmonic_file, flag])
         assert code == 1
         assert json.loads(out)["error"]["error"] == "parameter"
+
+    def test_monodromy_flag_agrees_with_the_index_endpoint_test(self, capsys, tmp_path):
+        # sigma_min(Psi(1) - I) is 7.1e-7 here while |det(Psi(1) - I)| is
+        # about 1e-5: a degenerate orbit, not an endpoint-degenerate error
+        f = tmp_path / "pend.json"
+        f.write_text(json.dumps({"phase_space": "cylinder",
+                                 "hamiltonian": {"builtin": "pendulum"}}))
+        code, out = run(capsys, ["dyn", "monodromy", "--input", str(f), "--z0=0.8,0.0",
+                                 "--T=1.3457695675791859", "--dt", "0.01"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["nondegenerate"] is False
+        assert "doubled_index" not in result
 
     def test_integrate_without_input_is_domain_error(self, capsys):
         code, out = run(capsys, ["dyn", "integrate", "--T", "1"])

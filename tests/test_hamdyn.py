@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from symidx import hamdyn, io
+from symidx import hamdyn, index, io
 from symidx.errors import NoOrbitFoundError, ParameterError, StepFailureError
 from symidx.hamdyn import (
     HamiltonianSystem,
@@ -100,6 +100,19 @@ class TestPeriodicOrbit:
     def test_harmonic_monodromy_degenerate(self):
         orbit = find_periodic_orbit(harmonic_system(), [1.0, 0.0], 6.0)
         _, nondeg, idx = monodromy_and_cz(harmonic_system(), orbit)
+        assert not nondeg and idx is None
+
+    @pytest.mark.parametrize("T_guess", [1.3457695675791859, 1.1])
+    def test_monodromy_flag_is_the_endpoint_test_of_cz_rs(self, T_guess):
+        # a coarse-step libration: |det(Psi(1) - I)| is about 1e-5, but
+        # sigma_min(Psi(1) - I) is below 1e-7, so cz_rs rejects the endpoint;
+        # the flag reads the same test instead of handing it to cz_rs
+        sys_ = io.load_system({"phase_space": "cylinder",
+                               "hamiltonian": {"builtin": "pendulum"}})
+        orbit = find_periodic_orbit(sys_, [0.8, 0.0], T_guess, dt=0.01)
+        path, nondeg, idx = monodromy_and_cz(sys_, orbit)
+        assert abs(np.linalg.det(path.endpoint() - np.eye(2))) > 1e-6
+        assert index.endpoint_degeneracy(path.endpoint(), 1e-9)[0]
         assert not nondeg and idx is None
 
     def test_equilibrium_constant_orbit(self):

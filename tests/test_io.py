@@ -99,6 +99,17 @@ class TestPathRoundTrip:
             load_path(doc)
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("starts_at_identity", "false"), ("starts_at_identity", 1),
+        ("closed", 0), ("closed", None), ("closed", "true"),
+    ])
+    def test_flags_must_be_booleans(self, flag, value):
+        doc = dump_path(rotation_path(1, np.pi / 2))
+        doc[flag] = value
+        with pytest.raises(FileFormatError, match=flag + " must be true or false"):
+            load_path(doc)
+
+
 class TestFamilyRoundTrip:
     def test_one_parameter(self):
         rng = np.random.default_rng(3)
@@ -191,6 +202,27 @@ class TestComplexFiles:
                "boundary": [["m"]]}
         with pytest.raises(FileFormatError):
             load_complex(doc)
+
+    @pytest.mark.parametrize("entry", [["m", "M", "one"], ["m", "M", 1.5], ["m", 0],
+                                       ["m", "M", 1, 1], "mM"])
+    def test_boundary_entry_types(self, entry):
+        doc = {"generators": [{"id": "m", "doubled_degree": 0},
+                              {"id": "M", "doubled_degree": 2}],
+               "boundary": [entry]}
+        with pytest.raises(FileFormatError, match="boundary entry 0"):
+            load_complex(doc)
+
+    @pytest.mark.parametrize("key, entries", [
+        ("intra", [["q"]]), ("intra", [["q", "p", "x"]]), ("cascades", [["q", "p", None]]),
+        ("intra", {"q": "p"}),
+    ])
+    def test_morse_bott_entry_types(self, key, entries):
+        doc = {"components": [
+            {"id": "c", "dim": 0, "action": 0.0, "rs_trans_doubled": 0,
+             "morse_points": [{"id": "p", "morse_index": 0}, {"id": "q", "morse_index": 1}]},
+        ], key: entries}
+        with pytest.raises(FileFormatError, match=key):
+            load_morse_bott(doc)
 
     def test_morse_bott(self):
         doc = {"components": [

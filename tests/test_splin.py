@@ -473,16 +473,54 @@ class TestEvaluatorContract:
         ts = np.linspace(0.0, 1.0, 9)
         U = SymplecticPath(ts, np.stack([_scalar_only(t) for t in ts]), True, False,
                            1e-9, _scalar_only)
-        assert not splin._is_stacked(U.matrix_at)
+        # adapted on construction to a stack evaluator with the same rows
+        assert splin._is_stacked(U.matrix_at)
         ref = np.stack([_scalar_only(float(t)) for t in self.TS])
         assert _bits(U.at_many(self.TS)) == _bits(ref)
         R = rotation_path(1, 2.5, samples=33)
         for C in (U.concatenate(R), R.concatenate(U), U.product(R)):
-            assert not splin._is_stacked(C.matrix_at)
+            assert splin._is_stacked(C.matrix_at)
             ref = np.stack([C.matrix_at(float(t)) for t in self.TS])
             assert _bits(C.at_many(self.TS)) == _bits(ref)
         C = R.concatenate(U)
         assert np.allclose(C.at(0.75), rot2(1.5), atol=1e-15)
+
+        # the user function gets one Python float per parameter, whichever
+        # operation evaluates it
+        calls = []
+
+        def scalar(t):
+            assert type(t) is float, type(t)
+            calls.append(t)
+            return rot2(3.0 * t)
+
+        U = SymplecticPath(ts, np.stack([rot2(3.0 * t) for t in ts]), True, False,
+                           1e-9, scalar)
+        TS = self.TS.tolist()
+
+        def params(make):
+            calls.clear()
+            make()
+            return list(calls)
+
+        assert params(lambda: U.at(0.3)) == [0.3]
+        assert params(lambda: U.at_many(self.TS)) == TS
+        UR, RU = U.concatenate(R), R.concatenate(U)
+        assert params(lambda: UR.at_many(self.TS)) == [2.0 * t for t in TS if t <= 0.5]
+        assert params(lambda: RU.at_many(self.TS)) == [2.0 * t - 1.0 for t in TS if t > 0.5]
+        assert params(lambda: U.product(R)) == np.union1d(U.ts, R.ts).tolist()
+        UxR = U.product(R)
+        assert params(lambda: UxR.at_many(self.TS)) == TS
+
+        def phi(t):
+            return t * t
+
+        assert params(lambda: U.reparametrize(phi)) == [phi(t) for t in ts]
+        V = U.reparametrize(phi)
+        assert params(lambda: V.at_many(self.TS)) == [phi(t) for t in TS]
+        assert params(lambda: index._perturbed(U, 0.37)) == []
+        Q = index._perturbed(U, 0.37)
+        assert params(lambda: Q.at_many(self.TS)) == TS
 
     def test_user_scalar_family(self):
         S = np.array([[1.3, 0.4], [0.4, -0.8]])
