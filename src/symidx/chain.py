@@ -77,15 +77,6 @@ def gf2_nullspace(A: np.ndarray) -> np.ndarray:
     return basis
 
 
-def gf2_in_span(B: np.ndarray, v: np.ndarray) -> bool:
-    """Is v in the column span of B over GF(2)?"""
-    if not np.any(v % 2):
-        return True
-    if B.size == 0:
-        return False
-    return gf2_rank(np.column_stack([B, v])) == gf2_rank(B)
-
-
 # ---------------------------------------------------------------------------
 # chain complexes
 
@@ -111,6 +102,7 @@ class ChainComplex:
         if len(set(ids)) != m:
             raise ComplexValidationError("duplicate generator ids")
         self._index = {g.id: k for k, g in enumerate(self.generators)}
+        self._degs = np.array([g.doubled_degree for g in self.generators])
 
     def index_of(self, gid: str) -> int:
         return self._index[gid]
@@ -119,7 +111,7 @@ class ChainComplex:
         return sorted({g.doubled_degree for g in self.generators})
 
     def validate(self) -> "ChainComplex":
-        degs = np.array([g.doubled_degree for g in self.generators])
+        degs = self._degs
         rows, cols = np.nonzero(self.boundary)
         for i, j in zip(rows, cols):
             if degs[j] - degs[i] != 2:
@@ -139,9 +131,8 @@ class ChainComplex:
 
     def _block(self, d: int) -> np.ndarray:
         """Boundary restricted to degree-d generators (rows: degree d-2)."""
-        degs = np.array([g.doubled_degree for g in self.generators])
-        rows = np.nonzero(degs == d - 2)[0]
-        cols = np.nonzero(degs == d)[0]
+        rows = np.nonzero(self._degs == d - 2)[0]
+        cols = np.nonzero(self._degs == d)[0]
         return self.boundary[np.ix_(rows, cols)]
 
 
@@ -166,20 +157,18 @@ def build_complex(generators: Sequence[tuple], entries: Sequence[tuple]) -> Chai
 
 def homology(C: ChainComplex) -> dict[int, int]:
     """Doubled degree -> GF(2) Betti number."""
-    degs = np.array([g.doubled_degree for g in C.generators])
     out = {}
     for d in C.degrees():
-        nd = int(np.sum(degs == d))
+        nd = int(np.sum(C._degs == d))
         out[d] = nd - gf2_rank(C._block(d)) - gf2_rank(C._block(d + 2))
     return out
 
 
 def cohomology(C: ChainComplex) -> dict[int, int]:
     """Betti numbers of the transposed (upward-flow) complex, by degree."""
-    degs = np.array([g.doubled_degree for g in C.generators])
     out = {}
     for d in C.degrees():
-        nd = int(np.sum(degs == d))
+        nd = int(np.sum(C._degs == d))
         up = C._block(d + 2).T      # coboundary out of degree d
         down = C._block(d).T        # coboundary into degree d
         out[d] = nd - gf2_rank(up) - gf2_rank(down)
@@ -203,11 +192,9 @@ class ChainMap:
             raise ComplexValidationError("chain-map matrix shape mismatch")
 
     def validate(self) -> "ChainMap":
-        sdeg = np.array([g.doubled_degree for g in self.source.generators])
-        tdeg = np.array([g.doubled_degree for g in self.target.generators])
         rows, cols = np.nonzero(self.matrix)
         for i, j in zip(rows, cols):
-            if tdeg[i] != sdeg[j]:
+            if self.target._degs[i] != self.source._degs[j]:
                 raise ComplexValidationError(
                     "chain map does not preserve degree on %s -> %s"
                     % (self.source.generators[j].id, self.target.generators[i].id)
@@ -224,14 +211,11 @@ def identity_map(C: ChainComplex) -> ChainMap:
 
 
 def _induced_zero_on_homology(phi: ChainMap) -> bool:
-    """Does phi send every cycle to a boundary?"""
-    Z = gf2_nullspace(phi.source.boundary)
-    B_img = phi.target.boundary
-    for j in range(Z.shape[1]):
-        v = (phi.matrix.astype(np.int64) @ Z[:, j]) % 2
-        if not gf2_in_span(B_img, v.astype(np.uint8)):
-            return False
-    return True
+    """Does phi send every cycle to a boundary?  The images phi Z of a
+    basis Z of the cycles lie in the span of B iff rank [B | phi Z] = rank B."""
+    B = phi.target.boundary
+    images = (phi.matrix.astype(np.int64) @ gf2_nullspace(phi.source.boundary)) % 2
+    return gf2_rank(np.hstack([B, images])) == gf2_rank(B)
 
 
 def check_chain_homotopy(psi0: ChainMap, psi1: ChainMap, T: np.ndarray) -> bool:
@@ -300,66 +284,50 @@ def cascade_complex(D: MorseBottData) -> tuple[ChainComplex, bool]:
     """Build the cascade complex; returns (complex, lacunary flag).
 
     Generators are the Morse points, graded by mu = RS_trans + IND - dim/2
-    of their component; actions are inherited.  The lacunary flag is set
-    when no admissible pair (strict action drop across components, or any
-    pair within a component with a nonzero supplied Morse count) has
-    mu-difference 1 -- the boundary is then forced to vanish.  Data that
-    is not lacunary and supplies no counts raises UnsupportedError.
+    of their component; actions are inherited.  An entry with an odd count
+    must name known points, and a cascade must strictly drop the action and
+    an intra entry stay in its component; even counts are zero mod 2 and
+    skipped unchecked.  The lacunary flag is set when the supplied counts
+    give no boundary and no pair of points on distinct components with a
+    strict action drop has mu-difference 1: the boundary is then forced to
+    vanish.  Data that is not lacunary and supplies no counts raises
+    UnsupportedError.
     """
-    gens: list[Generator] = []
-    comp_of: dict[str, BottComponent] = {}
+    gens, comp_of = [], {}
     for comp in D.components:
         for pt in comp.morse_points:
-            gens.append(Generator(pt.id, _mu_doubled(comp, pt), comp.action))
+            gens.append((pt.id, _mu_doubled(comp, pt), comp.action))
             comp_of[pt.id] = comp
-    C = ChainComplex(gens, np.zeros((len(gens), len(gens)), dtype=np.uint8))
+    odd = []
+    for entries, cross in ((D.cascades, True), (D.intra, False)):
+        for e in entries:
+            if (int(e[2]) if len(e) > 2 else 1) % 2 == 0:
+                continue
+            if e[0] not in comp_of or e[1] not in comp_of:
+                raise ComplexValidationError("cascade entry references unknown point")
+            src, dst = comp_of[e[0]], comp_of[e[1]]
+            if cross and not src.action > dst.action:
+                raise ActionRuleError("cascade %s -> %s does not decrease action (%g -> %g)"
+                                      % (e[0], e[1], src.action, dst.action))
+            if not cross and src.id != dst.id:
+                raise ComplexValidationError("intra entry %s -> %s joins distinct components"
+                                             % (e[0], e[1]))
+            odd.append(e[:2])
+    C = build_complex(gens, odd)
 
-    def add(src, dst, count, cross):
-        if count % 2 == 0:
-            return
-        if src not in comp_of or dst not in comp_of:
-            raise ComplexValidationError("cascade entry references unknown point")
-        a_src = comp_of[src].action
-        a_dst = comp_of[dst].action
-        if cross and not a_src > a_dst:
-            raise ActionRuleError(
-                "cascade %s -> %s does not decrease action (%g -> %g)"
-                % (src, dst, a_src, a_dst)
-            )
-        if not cross and comp_of[src].id != comp_of[dst].id:
-            raise ComplexValidationError(
-                "intra entry %s -> %s joins distinct components" % (src, dst)
-            )
-        C.boundary[C.index_of(dst), C.index_of(src)] ^= 1
-
-    for e in D.cascades:
-        add(e[0], e[1], int(e[2]) if len(e) > 2 else 1, cross=True)
-    for e in D.intra:
-        add(e[0], e[1], int(e[2]) if len(e) > 2 else 1, cross=False)
-
-    # lacunary test: does any admissible pair have mu-difference exactly 1?
-    lacunary = True
-    mus = {g.id: g.doubled_degree for g in gens}
-    if np.any(C.boundary):
-        lacunary = False  # supplied counts already give a nonzero boundary
-    else:
-        items = list(mus.items())
-        for xid, mx in items:
-            for yid, my in items:
-                if mx - my != 2:
-                    continue
-                if comp_of[xid].id != comp_of[yid].id and (
-                    comp_of[xid].action > comp_of[yid].action
-                ):
-                    lacunary = False
-    if lacunary:
-        C.boundary[:] = 0
-    elif not D.cascades and not D.intra:
+    # admissible[i, j]: mu drops by 1 from i to j across a strict action drop
+    mu = C._degs
+    action = np.array([g.action for g in C.generators], dtype=float)
+    comp_id = np.array([comp_of[g.id].id for g in C.generators], dtype=object)
+    admissible = ((mu[:, None] - mu[None, :] == 2) & (action[:, None] > action[None, :])
+                  & (comp_id[:, None] != comp_id[None, :]))
+    lacunary = not np.any(C.boundary) and not np.any(admissible)
+    if not lacunary and not D.cascades and not D.intra:
         raise UnsupportedError(
             "data is not lacunary and no cascade counts were supplied: "
             "the boundary cannot be computed"
         )
-    return C.validate(), lacunary
+    return C, lacunary
 
 
 # ---------------------------------------------------------------------------

@@ -102,15 +102,13 @@ def _cmd_index(args):
         return {"algorithm": "cz", **_index_payload(cz_rs(P, tol=_tol(args)))}
     if algo == "rs":
         return {"algorithm": "rs", **_index_payload(rs_index(P))}
-    if algo == "winding":
-        iv, interval = cz_winding(P)
-        out = {"algorithm": "winding", **_index_payload(iv)}
-        out["winding_interval"] = {
-            "lower": interval.lower, "upper": interval.upper,
-            "index": interval.index,
-        }
-        return out
-    raise FileFormatError("unknown index algorithm %r" % algo)
+    iv, interval = cz_winding(P)  # algorithm "winding"
+    out = {"algorithm": "winding", **_index_payload(iv)}
+    out["winding_interval"] = {
+        "lower": interval.lower, "upper": interval.upper,
+        "index": interval.index,
+    }
+    return out
 
 
 def _cmd_chern(args):
@@ -127,6 +125,8 @@ def _parse_z(text: str) -> np.ndarray:
 
 
 def _cmd_dyn(args):
+    if args.action == "twist":
+        return _cmd_twist(args)
     if args.input is None:
         raise ParameterError("dyn %s needs --input" % args.action)
     sys_ = sio.load_system(args.input)
@@ -138,21 +138,19 @@ def _cmd_dyn(args):
             "energy_drift": traj.energy_drift(sys_),
             "endpoint": traj.zs[-1].tolist(),
         }
-    if args.action in ("orbit", "monodromy"):
-        orbit = find_periodic_orbit(sys_, _parse_z(args.z0), args.T, dt=args.dt)
-        out = {
-            "action": args.action,
-            "z0": orbit.z0.tolist(),
-            "period": orbit.period,
-            "residual": orbit.residual,
-        }
-        if args.action == "monodromy":
-            _, nondeg, idx = monodromy_and_cz(sys_, orbit)
-            out["nondegenerate"] = nondeg
-            if idx is not None:
-                out.update(_index_payload(idx["standard"]))
-        return out
-    raise FileFormatError("unknown dyn action %r" % args.action)
+    orbit = find_periodic_orbit(sys_, _parse_z(args.z0), args.T, dt=args.dt)
+    out = {
+        "action": args.action,
+        "z0": orbit.z0.tolist(),
+        "period": orbit.period,
+        "residual": orbit.residual,
+    }
+    if args.action == "monodromy":
+        _, nondeg, idx = monodromy_and_cz(sys_, orbit)
+        out["nondegenerate"] = nondeg
+        if idx is not None:
+            out.update(_index_payload(idx["standard"]))
+    return out
 
 
 def _cmd_twist(args):
@@ -189,16 +187,13 @@ def _cmd_chain(args):
             "betti": _betti_payload(homology(C)),
             "cobetti": _betti_payload(cohomology(C)),
         }
-    if args.action == "cascade":
-        D = sio.load_morse_bott(args.input)
-        C, lacunary = cascade_complex(D)
-        return {
-            "action": "cascade",
-            "lacunary": lacunary,
-            "betti": _betti_payload(homology(C)),
-            "generators": len(C.generators),
-        }
-    raise FileFormatError("unknown chain action %r" % args.action)
+    C, lacunary = cascade_complex(sio.load_morse_bott(args.input))  # action "cascade"
+    return {
+        "action": "cascade",
+        "lacunary": lacunary,
+        "betti": _betti_payload(homology(C)),
+        "generators": len(C.generators),
+    }
 
 
 def _cmd_demo(args):
@@ -267,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--dt", type=float, default=1e-3)
     pd.add_argument("--epsilon", type=float, default=0.1)
     pd.add_argument("--grid", type=int, default=32)
-    pd.set_defaults(handler=None)
+    pd.set_defaults(handler=_cmd_dyn)
 
     pch = sub.add_parser("chain")
     pch.add_argument("action", choices=("homology", "cascade"))
@@ -297,10 +292,6 @@ def main(argv=None) -> int:
     except SystemExit as e:  # --help
         return 2 if e.code not in (0, None) else 0
 
-    handler = getattr(args, "handler", None)
-    if handler is None and args.command == "dyn":
-        handler = _cmd_twist if args.action == "twist" else _cmd_dyn
-
     inputs = {}
     inp = getattr(args, "input", None)
     if inp is not None and Path(str(inp)).is_file():
@@ -309,7 +300,6 @@ def main(argv=None) -> int:
     config = {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("handler", "output") and v is not None
-        and not callable(v)
     }
 
     doc = {"command": args.command, "inputs": inputs}
@@ -321,7 +311,7 @@ def main(argv=None) -> int:
             if isinstance(v, float) and not np.isfinite(v):
                 raise ParameterError("--%s must be finite, got %r" % (name, v))
         doc["config"] = config
-        doc["result"] = handler(args)
+        doc["result"] = args.handler(args)
         code = 0
     except SymidxError as e:
         doc["error"] = e.payload()

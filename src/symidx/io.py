@@ -89,11 +89,29 @@ def _boolean(value, what: str) -> bool:
     return value
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise FileFormatError("%s must be a list, got %r" % (what, value))
+    return value
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise FileFormatError("%s must be a string, got %r" % (what, value))
+    return value
+
+
+def _records(doc: dict, key: str, what: str, required: set, optional: set):
+    """Yield (k, object) for each object of the list ``doc[key]``, with its
+    fields checked; object k is named ``what % k`` in errors."""
+    for k, rec in enumerate(_list(doc[key], key)):
+        _check_keys(rec, required, optional, what % k)
+        yield k, rec
+
+
 def _entries(doc_entries, what: str) -> list[tuple]:
     """[from, to(, count)] entries with string ids and an integer count."""
-    if not isinstance(doc_entries, list):
-        raise FileFormatError("%s must be a list of entries" % what)
-    for k, e in enumerate(doc_entries):
+    for k, e in enumerate(_list(doc_entries, what)):
         if not (isinstance(e, list) and len(e) in (2, 3)
                 and all(isinstance(i, str) for i in e[:2])):
             raise FileFormatError("%s entry %d must be [from, to(, count)] with string ids"
@@ -120,10 +138,9 @@ def _matrix(entry, n: int, what: str) -> np.ndarray:
     return M
 
 
-def _samples(doc_samples, n: int):
+def _samples(doc: dict, key: str, n: int):
     ts, mats = [], []
-    for k, s in enumerate(doc_samples):
-        _check_keys(s, {"t", "matrix"}, what="sample %d" % k)
+    for k, s in _records(doc, key, "sample %d", {"t", "matrix"}, set()):
         ts.append(_real(s["t"], "sample %d t" % k))
         mats.append(_matrix(s["matrix"], n, "sample %d" % k))
     if len(ts) < 2:
@@ -138,7 +155,7 @@ def load_path(source) -> SymplecticPath:
     if doc["kind"] != "path":
         raise FileFormatError("expected kind 'path', got %r" % doc["kind"])
     n = _integer(doc["n"], "n", 1)
-    ts, mats = _samples(doc["samples"], n)
+    ts, mats = _samples(doc, "samples", n)
     start_id = doc.get("starts_at_identity", bool(np.max(np.abs(mats[0] - np.eye(2 * n))) < 1e-7))
     closed = doc.get("closed", bool(np.max(np.abs(mats[-1] - mats[0])) < 1e-7))
     return SymplecticPath(ts, mats, _boolean(start_id, "starts_at_identity"),
@@ -154,12 +171,11 @@ def load_family(source):
         raise FileFormatError("expected kind 'symmetric_family'")
     n = _integer(doc["n"], "n", 1)
     if key == "samples":
-        return SymmetricFamily(*_samples(doc["samples"], n)).validate()
+        return SymmetricFamily(*_samples(doc, "samples", n)).validate()
     ss, slices = [], []
-    for k, row in enumerate(doc["samples_2d"]):
-        _check_keys(row, {"s", "rows"}, what="samples_2d entry %d" % k)
+    for k, row in _records(doc, "samples_2d", "samples_2d entry %d", {"s", "rows"}, set()):
         ss.append(_real(row["s"], "samples_2d entry %d s" % k))
-        slices.append(SymmetricFamily(*_samples(row["rows"], n)).validate())
+        slices.append(SymmetricFamily(*_samples(row, "rows", n)).validate())
     return SymmetricFamily2(np.array(ss), slices)
 
 
@@ -192,7 +208,7 @@ def dump_family(S: SymmetricFamily) -> dict:
 def load_clutching(source) -> ClutchingData:
     doc = _load_json(source)
     _check_keys(doc, {"rank", "genus", "loops"}, set(), "clutching file")
-    loops = [load_path(p) for p in doc["loops"]]
+    loops = [load_path(p) for p in _list(doc["loops"], "loops")]
     return ClutchingData(_integer(doc["rank"], "rank"), _integer(doc["genus"], "genus"), loops)
 
 
@@ -200,9 +216,9 @@ def _polynomial_system(spec: dict, j_structure: str) -> HamiltonianSystem:
     _check_keys(spec, {"n", "terms"}, what="polynomial hamiltonian")
     n = _integer(spec["n"], "polynomial n", 1)
     terms = []
-    for k, t in enumerate(spec["terms"]):
-        _check_keys(t, {"coeff", "powers"}, what="polynomial term %d" % k)
-        powers = [_integer(p, "term %d exponent" % k, 0) for p in t["powers"]]
+    for k, t in _records(spec, "terms", "polynomial term %d", {"coeff", "powers"}, set()):
+        powers = [_integer(p, "term %d exponent" % k, 0)
+                  for p in _list(t["powers"], "term %d powers" % k)]
         if len(powers) != 2 * n:
             raise FileFormatError("term %d has %d exponents, expected %d"
                                   % (k, len(powers), 2 * n))
@@ -218,6 +234,8 @@ def load_system(source) -> HamiltonianSystem:
     doc = _load_json(source)
     _check_keys(doc, {"phase_space", "hamiltonian"}, {"j_convention"}, "system file")
     ham = doc["hamiltonian"]
+    if not isinstance(ham, dict):
+        raise FileFormatError("hamiltonian must be a JSON object, got %r" % (ham,))
     jconv = doc.get("j_convention", "standard")
     if "builtin" in ham:
         _check_keys(ham, {"builtin"}, {"parameters"}, "hamiltonian")
@@ -247,10 +265,11 @@ def load_complex(source) -> ChainComplex:
     doc = _load_json(source)
     _check_keys(doc, {"generators", "boundary"}, set(), "complex file")
     gens = []
-    for k, g in enumerate(doc["generators"]):
-        _check_keys(g, {"id", "doubled_degree"}, {"action"}, "generator %d" % k)
-        gens.append((g["id"], _integer(g["doubled_degree"], "generator %d doubled_degree" % k),
-                     g.get("action")))
+    for k, g in _records(doc, "generators", "generator %d", {"id", "doubled_degree"}, {"action"}):
+        what = "generator %d " % k
+        gens.append((_string(g["id"], what + "id"),
+                     _integer(g["doubled_degree"], what + "doubled_degree"),
+                     _real(g["action"], what + "action") if "action" in g else None))
     return build_complex(gens, _entries(doc["boundary"], "boundary"))
 
 
@@ -258,15 +277,14 @@ def load_morse_bott(source) -> MorseBottData:
     doc = _load_json(source)
     _check_keys(doc, {"components"}, {"cascades", "intra"}, "morse-bott file")
     comps = []
-    for k, c in enumerate(doc["components"]):
-        _check_keys(c, {"id", "dim", "action", "rs_trans_doubled", "morse_points"},
-                    what="component %d" % k)
-        pts = []
-        for j, p in enumerate(c["morse_points"]):
-            _check_keys(p, {"id", "morse_index"}, what="morse point %d.%d" % (k, j))
-            pts.append(MorsePoint(p["id"], _integer(p["morse_index"], "morse_index")))
+    for k, c in _records(doc, "components", "component %d",
+                         {"id", "dim", "action", "rs_trans_doubled", "morse_points"}, set()):
+        pts = [MorsePoint(_string(p["id"], "morse point %d.%d id" % (k, j)),
+                          _integer(p["morse_index"], "morse_index"))
+               for j, p in _records(c, "morse_points", "morse point %d.%%d" % k,
+                                    {"id", "morse_index"}, set())]
         what = "component %d " % k
-        comps.append(BottComponent(c["id"], _integer(c["dim"], what + "dim"),
+        comps.append(BottComponent(_string(c["id"], what + "id"), _integer(c["dim"], what + "dim"),
                                    _real(c["action"], what + "action"),
                                    _integer(c["rs_trans_doubled"], what + "rs_trans_doubled"),
                                    tuple(pts)))

@@ -119,6 +119,15 @@ class TestValidation:
         with pytest.raises(ComplexValidationError):
             build_complex([("a", 0), ("a", 2)], [])
 
+    def test_boundary_shape_mismatch(self):
+        with pytest.raises(ComplexValidationError, match="shape"):
+            ChainComplex([Generator("a", 0)], np.zeros((2, 2), dtype=np.uint8))
+
+    def test_chain_map_shape_mismatch(self):
+        C = sphere_complex()
+        with pytest.raises(ComplexValidationError, match="shape"):
+            ChainMap(C, C, np.zeros((2, 3), dtype=np.uint8))
+
 
 class TestContinuation:
     def test_identity_triangle(self):
@@ -133,6 +142,21 @@ class TestContinuation:
         Z = np.zeros_like(i.matrix)
         rep = verify_continuation(i, i, i, homotopy=(i, i, Z))
         assert rep["chain_homotopy"]
+
+    def test_composition_differs_on_homology(self):
+        # identity after identity is not the zero map on H(S^2) != 0
+        C = sphere_complex()
+        i = identity_map(C)
+        zero = ChainMap(C, C, np.zeros_like(i.matrix))
+        assert verify_continuation(i, i, zero) == {"composition_on_homology": False}
+
+    def test_composition_agrees_up_to_a_boundary(self):
+        # on the collapsing interval every cycle is a boundary, so any two
+        # maps agree on homology
+        C = build_complex([("a", 0), ("b", 2)], [("b", "a")])
+        i = identity_map(C)
+        zero = ChainMap(C, C, np.zeros_like(i.matrix))
+        assert verify_continuation(i, i, zero)["composition_on_homology"]
 
     def test_homotopy_detects_mismatch(self):
         C = sphere_complex()
@@ -192,6 +216,48 @@ class TestCascade:
         data = self._two_towers(2, [])
         with pytest.raises(UnsupportedError):
             cascade_complex(data)
+
+    def test_even_count_entry_is_skipped(self):
+        # an even count is zero mod 2: it is neither checked nor added, even
+        # when it raises the action or names an unknown point
+        data = self._two_towers(2, [("q", "p", 2), ("p", "q", 4), ("q", "zz", 2)])
+        C, lacunary = cascade_complex(data)
+        assert not lacunary
+        assert not np.any(C.boundary)
+        assert homology(C) == {0: 1, 2: 1}
+
+    def test_odd_counts_accumulate(self):
+        data = self._two_towers(2, [("q", "p", 3), ("q", "p")])
+        C, _ = cascade_complex(data)
+        assert not np.any(C.boundary)
+
+    @pytest.mark.parametrize("key, entry", [
+        ("cascades", ("q", "zz")), ("cascades", ("zz", "p", 1)), ("intra", ("q", "zz", 3)),
+    ])
+    def test_unknown_point_rejected(self, key, entry):
+        data = self._two_towers(2, [])
+        setattr(data, key, [entry])
+        with pytest.raises(ComplexValidationError, match="unknown point"):
+            cascade_complex(data)
+
+    def test_cascade_degree_rule_enforced(self):
+        # action drops, but mu drops by 2 (doubled 4): not a boundary entry
+        data = self._two_towers(4, [("q", "p")])
+        with pytest.raises(DegreeRuleError):
+            cascade_complex(data)
+
+    def test_equal_action_across_components_is_lacunary(self):
+        # mu-difference 1, but no strict action drop: no admissible pair
+        lo = BottComponent("lo", 0, 1.0, 0, (MorsePoint("p", 0),))
+        hi = BottComponent("hi", 0, 1.0, 2, (MorsePoint("q", 0),))
+        C, lacunary = cascade_complex(MorseBottData([lo, hi]))
+        assert lacunary and homology(C) == {0: 1, 2: 1}
+
+    def test_within_component_pair_is_lacunary(self):
+        # mu-difference 1 inside one component with no supplied count
+        lo = BottComponent("lo", 1, 0.0, 0, (MorsePoint("p0", 0), MorsePoint("p1", 1)))
+        _, lacunary = cascade_complex(MorseBottData([lo]))
+        assert lacunary
 
     def test_intra_entry_across_components_rejected(self):
         data = self._two_towers(2, [])
@@ -306,3 +372,30 @@ def test_cohomology_duality_property(seed):
     rng = np.random.default_rng(seed)
     C = random_complex(rng)
     assert cohomology(C) == homology(C)
+
+
+def lacunary_by_pairs(D):
+    """Reference for count-free data: no pair of Morse points on distinct
+    components with a strict action drop has mu-difference 1."""
+    pts = [(c, c.rs_trans_doubled + 2 * p.morse_index - c.dim)
+           for c in D.components for p in c.morse_points]
+    return not any(cx.id != cy.id and cx.action > cy.action and mx - my == 2
+                   for cx, mx in pts for cy, my in pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_lacunarity_matches_pair_loop(seed):
+    rng = np.random.default_rng(seed)
+    comps = [BottComponent("c%d" % int(rng.integers(0, 3)), int(rng.integers(0, 3)),
+                           float(rng.integers(0, 3)), int(rng.integers(-2, 4)),
+                           tuple(MorsePoint("p%d_%d" % (k, j), int(rng.integers(0, 3)))
+                                 for j in range(int(rng.integers(0, 4)))))
+             for k in range(int(rng.integers(0, 5)))]
+    D = MorseBottData(comps)
+    if lacunary_by_pairs(D):
+        C, lacunary = cascade_complex(D)
+        assert lacunary and not np.any(C.boundary)
+    else:
+        with pytest.raises(UnsupportedError):
+            cascade_complex(D)

@@ -6,6 +6,7 @@ import pytest
 from symidx.cli import main
 from symidx.io import dump_family, dump_path
 from symidx.splin import SymmetricFamily, rotation_path
+from test_io import MALFORMED, malformed, valid_documents
 
 
 @pytest.fixture
@@ -98,6 +99,72 @@ class TestIndexCommand:
         code, out = run(capsys, ["index", "cz", "--input", str(f)])
         assert code == 0
         assert json.loads(out)["result"]["doubled_index"] == 2
+
+
+class TestErrorFields:
+    """The extra fields of an error object reach the JSON document."""
+
+    def test_resolution_interval(self, capsys, tmp_path):
+        f = tmp_path / "coarse.json"
+        f.write_text(json.dumps(dump_path(rotation_path(1, 6 * np.pi, samples=9))))
+        code, out = run(capsys, ["index", "maslov", "--input", str(f)])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["error"] == "resolution"
+        assert err["interval"] == [0.625, 0.75]
+
+    def test_d_squared_witness(self, capsys, tmp_path):
+        f = tmp_path / "dd.json"
+        f.write_text(json.dumps({
+            "generators": [{"id": "a", "doubled_degree": 0}, {"id": "b", "doubled_degree": 2},
+                           {"id": "c", "doubled_degree": 4}],
+            "boundary": [["b", "a"], ["c", "b"]],
+        }))
+        code, out = run(capsys, ["chain", "homology", "--input", str(f)])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["error"] == "d-squared-nonzero"
+        assert err["witness"] == "c"
+
+
+class TestFamilyArity:
+    @pytest.mark.parametrize("algorithm, kind, words", [
+        ("sf", "family2", "one-parameter family"),
+        ("cz", "family2", "one-parameter input"),
+        ("loop-sf", "family1", "two-parameter family"),
+    ])
+    def test_wrong_family_is_file_format_error(self, capsys, tmp_path, algorithm, kind, words):
+        if kind == "family1":
+            doc = dump_family(SymmetricFamily(np.array([0.0, 1.0]), np.stack([np.eye(2)] * 2)))
+        else:
+            doc = valid_documents()["family2"][1]
+        f = tmp_path / "fam.json"
+        f.write_text(json.dumps(doc))
+        code, out = run(capsys, ["index", algorithm, "--input", str(f)])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["error"] == "file-format" and words in err["message"]
+
+
+COMMAND_OF_KIND = {
+    "path": ["index", "cz"],
+    "family2": ["index", "loop-sf"],
+    "clutching": ["chern"],
+    "system": ["dyn", "integrate", "--T", "0.1"],
+    "complex": ["chain", "homology"],
+    "morse-bott": ["chain", "cascade"],
+}
+
+
+@pytest.mark.parametrize("kind, where, value", MALFORMED)
+def test_wrong_type_in_file_is_file_format_error(capsys, tmp_path, kind, where, value):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(malformed(kind, where, value)[1]))
+    code, out = run(capsys, COMMAND_OF_KIND[kind] + ["--input", str(f)])
+    assert code == 1
+    assert "Traceback" not in out
+    err = json.loads(out)["error"]
+    assert err["error"] == "file-format" and where[-1] in err["message"]
 
 
 class TestExitCodes:

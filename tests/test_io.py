@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -242,3 +243,77 @@ class TestComplexFiles:
         ]}
         with pytest.raises(FileFormatError):
             load_morse_bott(doc)
+
+
+def valid_documents():
+    """One valid document per loader, keyed by the loader's input kind."""
+    path = dump_path(rotation_path(1, np.pi / 2))
+    rows = [{"t": 0.0, "matrix": np.eye(2).tolist()}, {"t": 1.0, "matrix": np.eye(2).tolist()}]
+    return {
+        "path": (load_path, path),
+        "family2": (load_family, {"n": 1, "kind": "symmetric_family",
+                                  "samples_2d": [{"s": 0.0, "rows": rows},
+                                                 {"s": 1.0, "rows": rows}]}),
+        "clutching": (load_clutching, {"rank": 2, "genus": 0,
+                                       "loops": [dump_path(rotation_path(1, 2 * np.pi))]}),
+        "system": (load_system, {"phase_space": "plane", "hamiltonian": {"polynomial": {
+            "n": 1, "terms": [{"coeff": 0.5, "powers": [2, 0]}]}}}),
+        "complex": (load_complex, {"generators": [{"id": "m", "doubled_degree": 0},
+                                                  {"id": "M", "doubled_degree": 2,
+                                                   "action": 1.0}],
+                                   "boundary": [["M", "m", 2]]}),
+        "morse-bott": (load_morse_bott, {"components": [
+            {"id": "c", "dim": 0, "action": 0.0, "rs_trans_doubled": 0,
+             "morse_points": [{"id": "p", "morse_index": 0}]}]}),
+    }
+
+
+# (input kind, where in the document, wrong value); the error names the last key
+MALFORMED = [
+    ("path", ("samples",), 3),
+    ("path", ("samples",), {"t": 0.0}),
+    ("family2", ("samples_2d",), None),
+    ("family2", ("samples_2d", 0, "rows"), 1.5),
+    ("clutching", ("loops",), 7),
+    ("clutching", ("loops",), {}),
+    ("system", ("hamiltonian", "polynomial", "terms"), 2),
+    ("system", ("hamiltonian", "polynomial", "terms", 0, "powers"), 2),
+    ("system", ("hamiltonian",), 5),
+    ("system", ("hamiltonian",), None),
+    ("complex", ("generators",), None),
+    ("complex", ("generators", 0, "id"), ["m"]),
+    ("complex", ("generators", 0, "id"), {"m": 1}),
+    ("complex", ("generators", 0, "id"), 3),
+    ("complex", ("generators", 1, "action"), "high"),
+    ("complex", ("generators", 1, "action"), None),
+    ("morse-bott", ("components",), 0),
+    ("morse-bott", ("components", 0, "morse_points"), True),
+    ("morse-bott", ("components", 0, "id"), ["c"]),
+    ("morse-bott", ("components", 0, "id"), {"c": 0}),
+    ("morse-bott", ("components", 0, "morse_points", 0, "id"), ["p"]),
+    ("morse-bott", ("components", 0, "morse_points", 0, "id"), 3),
+]
+
+
+def malformed(kind, where, value):
+    """(loader, the valid document of ``kind`` with ``value`` put at ``where``)."""
+    loader, doc = valid_documents()[kind]
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    return loader, doc
+
+
+class TestContainerTypes:
+    @pytest.mark.parametrize("kind", sorted(valid_documents()))
+    def test_valid_document_loads(self, kind):
+        loader, doc = valid_documents()[kind]
+        loader(doc)
+
+    @pytest.mark.parametrize("kind, where, value", MALFORMED)
+    def test_wrong_type_is_file_format_error(self, kind, where, value):
+        loader, doc = malformed(kind, where, value)
+        with pytest.raises(FileFormatError, match=where[-1]):
+            loader(doc)
