@@ -228,17 +228,26 @@ def _flow(sys: HamiltonianSystem, z0, T: float, steps: int) -> Trajectory:
     h = T / steps
     J, eye = sys.J, np.eye(2 * sys.n)
     zs = np.empty((steps + 1, 2 * sys.n))
-    zs[0] = np.asarray(z0, dtype=float)
+    zs[0] = z0
     for k in range(steps):
         zs[k + 1] = _midpoint_step(sys, J, eye, zs[k], h, k * h)
     return Trajectory(np.linspace(0.0, T, steps + 1), zs)
+
+
+def _phase_point(sys: HamiltonianSystem, z) -> np.ndarray:
+    """z as a float array of 2n finite coordinates."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != (2 * sys.n,) or not np.all(np.isfinite(z)):
+        raise ParameterError("phase point needs %d finite coordinates, got %s"
+                             % (2 * sys.n, z.tolist()))
+    return z
 
 
 def integrate(sys: HamiltonianSystem, z0, T: float, dt: float) -> Trajectory:
     """Implicit-midpoint trajectory from z0 over [0, T]."""
     if not (dt > 0 and np.isfinite(T)):
         raise ParameterError("need dt > 0 and finite T")
-    return _flow(sys, z0, T, max(1, int(np.ceil(abs(T) / dt))))
+    return _flow(sys, _phase_point(sys, z0), T, max(1, int(np.ceil(abs(T) / dt))))
 
 
 @dataclass
@@ -333,7 +342,7 @@ def find_periodic_orbit(sys: HamiltonianSystem, z_guess, T_guess: float,
     """
     if not (np.isfinite(dt) and dt > 0 and np.isfinite(T_guess) and T_guess > 0):
         raise ParameterError("need finite dt > 0 and finite T_guess > 0")
-    z = np.asarray(z_guess, dtype=float)
+    z = _phase_point(sys, z_guess)
     dim = 2 * sys.n
     X0 = ham_vector_field(sys, z)
     if np.linalg.norm(X0) < 1e-10:

@@ -32,7 +32,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     ConvergenceError,
@@ -232,6 +231,61 @@ def _bisect_together(a, fa, b, dets) -> list[float]:
     return [0.5 * (lo + hi) for lo, _, hi in brackets]
 
 
+def _bounded_minimum(f, a: float, b: float, xatol: float) -> float:
+    """A minimizer of f on [a, b] by Brent's bounded search (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 5).
+
+    A port of scipy.optimize's ``minimize_scalar(method="bounded")``: the
+    same golden-section steps and parabolic fits in the same float
+    operations and order, the same stopping test and at most 500
+    evaluations, so the same x.  Brent's names: x is the best point so
+    far, w the second best, v the previous w and u the new trial point.
+    """
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden = 0.5 * (3.0 - np.sqrt(5.0))
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = f(x)
+    rat = e = 0.0
+    for _ in range(499):
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(x - xm) > tol2 - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                rat = p / q
+                u = x + rat
+                if u - a < tol2 or b - u < tol2:
+                    rat = tol1 if xm >= x else -tol1
+        if not parabolic:
+            e = (a if x >= xm else b) - x
+            rat = golden * e
+        step = max(abs(rat), tol1)
+        u = x + step if rat >= 0.0 else x - step
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x
+
+
 def _sign_changes(ts: np.ndarray, d: np.ndarray):
     """(a, det at a, b) of every cell [ts[.., j], ts[.., j + 1]] across which
     ``d`` changes sign, along the last axis."""
@@ -259,7 +313,8 @@ def _locate_crossings(path: SymplecticPath) -> list[float]:
     call, and their sign changes become brackets too.  All brackets are
     bisected together (``_bisect_together``).  A dip whose sub-grid has no
     sign change is an even-order zero candidate: a bounded scalar
-    minimization of |det| finds it and a singular-value test confirms it.
+    minimization of |det| (``_bounded_minimum``) finds it and a
+    singular-value test confirms it.
     Each step computes the values a cell-by-cell scan computes, so the
     result has its bits.
     """
@@ -292,13 +347,8 @@ def _locate_crossings(path: SymplecticPath) -> list[float]:
         brackets += [_sign_changes(cell_subs, cell_fs), _sign_changes(dip_subs, dip_fs)]
         # a dip with no sign change on its sub-grid: a tangential zero?
         for k in dips[~np.any(dip_fs[:, :-1] * dip_fs[:, 1:] < 0.0, axis=1)]:
-            res = minimize_scalar(
-                lambda t: abs(_dets_minus_id(path, [t])[0]),
-                bounds=(ts[k - 1], ts[k + 1]),
-                method="bounded",
-                options={"xatol": BISECT_TOL},
-            )
-            t0 = float(res.x)
+            t0 = float(_bounded_minimum(lambda t: abs(_dets_minus_id(path, [t])[0]),
+                                        ts[k - 1], ts[k + 1], BISECT_TOL))
             if 0.0 < t0 < 1.0 and _kernel_of_crossing(path.at(t0)) is not None:
                 found.append(t0)
 

@@ -208,7 +208,11 @@ def dump_family(S: SymmetricFamily) -> dict:
 def load_clutching(source) -> ClutchingData:
     doc = _load_json(source)
     _check_keys(doc, {"rank", "genus", "loops"}, set(), "clutching file")
-    loops = [load_path(p) for p in _list(doc["loops"], "loops")]
+    loops = []
+    for k, p in enumerate(_list(doc["loops"], "loops")):
+        if not isinstance(p, dict):  # a string would be read as a file path
+            raise FileFormatError("loop %d must be a JSON object, got %r" % (k, p))
+        loops.append(load_path(p))
     return ClutchingData(_integer(doc["rank"], "rank"), _integer(doc["genus"], "genus"), loops)
 
 

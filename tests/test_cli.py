@@ -352,6 +352,17 @@ class TestChernCommand:
         assert code == 0
         assert json.loads(out)["result"]["c1"] == 3
 
+    def test_string_loop_is_file_format_error(self, capsys, tmp_path, monkeypatch, full_loop):
+        # full_loop is tmp_path / "loop.json": the string must not name it
+        f = tmp_path / "cl.json"
+        f.write_text(json.dumps({"rank": 2, "genus": 0, "loops": ["loop.json"]}))
+        monkeypatch.chdir(tmp_path)
+        code, out = run(capsys, ["chern", "--input", str(f)])
+        assert code == 1
+        assert "Traceback" not in out
+        err = json.loads(out)["error"]
+        assert err["error"] == "file-format" and "loop 0" in err["message"]
+
 
 class TestDynCommand:
     def test_integrate(self, capsys, tmp_path):
@@ -402,6 +413,21 @@ class TestDynCommand:
         result = json.loads(out)["result"]
         assert result["nondegenerate"] is False
         assert "doubled_index" not in result
+
+    @pytest.mark.parametrize("action", ["integrate", "orbit", "monodromy"])
+    @pytest.mark.parametrize("n, z0", [(1, "1"), (1, "1,0,0"), (1, "nan,0"), (2, "1,0")])
+    def test_wrong_phase_point_is_parameter_error(self, capsys, tmp_path, action, n, z0):
+        # the harmonic oscillator, a plane system for n = 1 and r2n for n = 2
+        terms = [{"coeff": 0.5, "powers": [2 * (j == i) for j in range(2 * n)]}
+                 for i in range(2 * n)]
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps({"phase_space": "plane" if n == 1 else "r2n",
+                                 "hamiltonian": {"polynomial": {"n": n, "terms": terms}}}))
+        code, out = run(capsys, ["dyn", action, "--input", str(f), "--z0", z0, "--T", "6"])
+        assert code == 1
+        assert "Traceback" not in out
+        err = json.loads(out)["error"]
+        assert err["error"] == "parameter" and "coordinates" in err["message"]
 
     def test_integrate_without_input_is_domain_error(self, capsys):
         code, out = run(capsys, ["dyn", "integrate", "--T", "1"])

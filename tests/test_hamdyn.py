@@ -91,6 +91,27 @@ class TestIntegrate:
             integrate(harmonic_system(), [1.0, 0.0], 1.0, 0.0)
 
 
+def r4_harmonic():
+    return HamiltonianSystem(lambda z: 0.5 * float(z @ z), 2, "r2n")
+
+
+@pytest.mark.parametrize("make, z0", [
+    (harmonic_system, [1.0]),  # would broadcast to (1, 1)
+    (harmonic_system, [1.0, 0.0, 0.0]),
+    (r4_harmonic, [1.0, 0.0]),
+    (harmonic_system, [np.nan, 0.0]),  # would stall the midpoint Newton solve
+    (harmonic_system, [1.0, np.inf]),
+])
+class TestPhasePoint:
+    def test_integrate(self, make, z0):
+        with pytest.raises(ParameterError, match="coordinates"):
+            integrate(make(), z0, 1.0, 1e-2)
+
+    def test_find_periodic_orbit(self, make, z0):
+        with pytest.raises(ParameterError, match="coordinates"):
+            find_periodic_orbit(make(), z0, 6.0, dt=1e-2)
+
+
 class TestPeriodicOrbit:
     def test_harmonic_orbit(self):
         orbit = find_periodic_orbit(harmonic_system(), [1.1, 0.1], 6.0)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -596,6 +601,59 @@ def test_one_pass_bisection_first_cell_bracket():
     got = index._locate_crossings(Q)
     assert len(got) == 1 and 0.0 < got[0] < Q.ts[1]
     assert got == serial_locate_crossings(Q)
+
+
+def scipy_bounded(f, a, b, xatol):
+    return minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": xatol}).x
+
+
+def test_bounded_minimum_matches_scipy_on_seeded_functions():
+    rng = np.random.default_rng(23)
+    for k in range(400):
+        c = rng.normal(size=rng.integers(2, 7))
+        w, m = rng.uniform(1.0, 30.0), rng.uniform(-2.0, 2.0)
+        f = [lambda t: np.polyval(c, t), lambda t: abs(np.polyval(c, t)),
+             lambda t: abs(np.sin(w * t + m)), lambda t: w * (t - m) ** 2][k % 4]
+        a = rng.uniform(-2.0, 1.0)
+        b = a + rng.uniform(1e-6, 3.0)
+        for xatol in (1e-12, index.BISECT_TOL, 1e-5):
+            assert index._bounded_minimum(f, a, b, xatol) == scipy_bounded(f, a, b, xatol)
+    # xatol = 0 on |t|: the search stops at the 500-evaluation cap
+    assert index._bounded_minimum(abs, -1.0, 1.3, 0.0) == scipy_bounded(abs, -1.0, 1.3, 0.0)
+
+
+def test_bounded_minimum_matches_scipy_on_every_dip_search(monkeypatch):
+    searches = []
+    port = index._bounded_minimum
+
+    def record(f, a, b, xatol):
+        x = port(f, a, b, xatol)
+        searches.append((x, f, a, b, xatol))
+        return x
+
+    monkeypatch.setattr(index, "_bounded_minimum", record)
+    for P in [rotation_path(1, 5 * np.pi), rotation_path(2, 7 * np.pi),
+              seeded_path(3, 1), seeded_path(3, 15), seeded_path(3, 18)]:
+        index._locate_crossings(P)
+    assert len(searches) == 9
+    for x, f, a, b, xatol in searches:
+        assert x == scipy_bounded(f, a, b, xatol)
+
+
+def test_import_and_dip_search_leave_scipy_optimize_unloaded():
+    """``import symidx`` loads no scipy module, and the crossing scan's dip
+    search (two of them in rotation_path(1, 5 pi)) loads no scipy.optimize."""
+    code = ("import sys, numpy as np, symidx\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "assert symidx.cz_rs(symidx.rotation_path(1, 5 * np.pi)).doubled == 10\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "False"]
 
 
 def serial_crossing_at(path, t, is_endpoint):

@@ -145,6 +145,12 @@ class TestClutching:
         assert isinstance(D, ClutchingData)
         assert D.rank == 2 and len(D.overlap_loops) == 1
 
+    def test_string_loop_is_not_read_as_a_file(self, tmp_path, monkeypatch):
+        (tmp_path / "loop.json").write_text(json.dumps(dump_path(rotation_path(1, 2 * np.pi))))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileFormatError, match="loop 0 must be a JSON object"):
+            load_clutching({"rank": 2, "genus": 0, "loops": ["loop.json"]})
+
 
 class TestSystem:
     def test_builtin_harmonic(self):
