@@ -9,17 +9,21 @@ Autonomous systems only.  Phase spaces: the plane R^2, the cylinder
 S^1 x R with a period-1 angle, and R^{2n}.
 
 Trajectories come from one Newton-solved implicit-midpoint step,
-``_midpoint_step``.  In one degree of freedom it iterates on Python
-floats: J = +-J0 is applied as a signed swap and the Jacobian is built
-entry by entry, in the same operations and order as the array kernel
-used for 2n >= 4, so every result has the same bits as that kernel.
-The Newton solve is one call of ``splin.gesv_vector``, the LAPACK
-``gesv`` gufunc that ``numpy.linalg.solve`` wraps, under the wrapper's
-error state (``splin.gesv_errstate``) but without its per-call argument
-checks and type resolution: the same kernel on the same operands, so the
-same bits, at about half the cost of the wrapper for a 2 x 2 system.
-The error state is entered around each solve only, because the user's
-gradient and Hessian run in the same loop and keep their own warnings.
+``_midpoint_step``.  In one degree of freedom it runs on Python floats
+end to end, in the same operations and order as the array kernel used
+for 2n >= 4 (J = +-J0 as a signed swap, the Jacobian entry by entry), so
+every result has the same bits.  Its derivatives are floats: the
+gradient (x, y) -> (g0, g1) and the symmetrized Hessian (x, y) -> (h00,
+h01, h10, h11).  The builtins attach float forms that repeat their array
+forms' operations, ``0.5 * (H + H.T)`` included; other 1-DOF systems
+have ``grad`` and ``hess`` adapted once, when built.  The solve is one
+call of ``splin.gesv_vector``, the ``gesv`` gufunc behind
+``numpy.linalg.solve``, without the wrapper's argument checks but under
+its error state (``splin.gesv_errstate``, a decorator applied at
+import), which holds during the solve only: the derivatives keep their
+own warnings.  A step costs about 13 us on the pendulum and 6 us on the
+harmonic oscillator, half of the 2-vector form with a per-solve
+``errstate`` (shared 2-CPU x86-64 VM, Python 3.11, NumPy 2.4).
 No cheaper solve keeps the bits: Gaussian elimination on Python floats
 matches ``gesv`` on 76.6 % of 300 000 seeded 2 x 2 systems.  The section
 test ``normal @ w`` of the first-return map stays a BLAS dot for the same
@@ -56,6 +60,8 @@ NEWTON_TOL = 1e-13  # relative residual of the midpoint Newton solve
 NEWTON_MAX_ITER = 25
 SHOOT_TOL = 1e-8  # norm of the first-return gap that ends Newton shooting
 SHOOT_MAX_ITER = 50
+MAX_STEPS = 10**7  # most midpoint steps one flow may take; more is a ParameterError
+_solve_2x2 = gesv_errstate()(gesv_vector)  # gesv in numpy.linalg.solve's error state
 
 
 @dataclass
@@ -74,6 +80,13 @@ class HamiltonianSystem:
             raise ParameterError("unknown j_structure %r" % self.j_structure)
         if self.phase_space in ("plane", "cylinder") and self.n != 1:
             raise ParameterError("plane/cylinder phase spaces have n = 1")
+        if self.n == 1:
+            # the float derivatives of the 1-DOF kernel: a builtin's own,
+            # attached to its array form, or grad and hess adapted once
+            self._float_grad = getattr(self.gradient, "_float_form", None) or (
+                lambda x, y: self.grad(np.array([x, y])).tolist())
+            self._float_hess = getattr(self.hessian, "_float_form", None) or (
+                lambda x, y: self.hess(np.array([x, y])).ravel().tolist())
 
     @property
     def J(self) -> np.ndarray:
@@ -122,14 +135,21 @@ class HamiltonianSystem:
         return True
 
 
+def _with_float_form(array_form, float_form):
+    """Mark a 1-DOF derivative with its float form, the same operations."""
+    array_form._float_form = float_form
+    return array_form
+
+
 def harmonic_system(j_structure: str = "standard") -> HamiltonianSystem:
     """H(z) = |z|^2 / 2 on the plane."""
     eye = np.eye(2)
     eye.flags.writeable = False
+    sym = tuple((0.5 * (eye + eye.T)).ravel().tolist())
     return HamiltonianSystem(
         hamiltonian=lambda z: 0.5 * float(z @ z),
-        gradient=lambda z: np.asarray(z, dtype=float),
-        hessian=lambda z: eye,
+        gradient=_with_float_form(lambda z: np.asarray(z, dtype=float), lambda x, y: (x, y)),
+        hessian=_with_float_form(lambda z: eye, lambda x, y: sym),
         n=1, phase_space="plane", j_structure=j_structure,
     )
 
@@ -154,7 +174,18 @@ def pendulum_system(j_structure: str = "standard",
         return np.array([[c * (-4 * np.pi**2 * np.cos(2 * np.pi * z[0])), zero],
                          [zero, c]])
 
-    return HamiltonianSystem(H, 1, "cylinder", G, Hs, j_structure)
+    # np.sin and np.cos, not math's: NumPy's SIMD loops need not match libm
+    def G_float(x, y):
+        return float(c * (-2 * np.pi * np.sin(2 * np.pi * x))), c * y
+
+    off, h11 = 0.5 * (zero + zero), 0.5 * (c + c)
+
+    def Hs_float(x, y):
+        h00 = c * (-4 * np.pi**2 * np.cos(2 * np.pi * x))
+        return float(0.5 * (h00 + h00)), off, off, h11
+
+    return HamiltonianSystem(H, 1, "cylinder", _with_float_form(G, G_float),
+                             _with_float_form(Hs, Hs_float), j_structure)
 
 
 def ham_vector_field(sys: HamiltonianSystem, z: np.ndarray) -> np.ndarray:
@@ -184,24 +215,24 @@ def _midpoint_step(sys: HamiltonianSystem, J: np.ndarray, eye: np.ndarray,
         # J = s J0 with s = +-1 maps v to (0.0 - s v1, 0.0 + s v0); the 0.0
         # keeps the signed zeros of NumPy's +0-initialised matmul
         s = float(J[1, 0])
+        grad, hess = sys._float_grad, sys._float_hess
         a0, a1 = z0.tolist()
-        v0, v1 = sys.grad(z0).tolist()
+        v0, v1 = grad(a0, a1)
         b0, b1 = a0 + dt * (0.0 - s * v1), a1 + dt * (0.0 + s * v0)  # Euler predictor
         half = 0.5 * dt
         for _ in range(NEWTON_MAX_ITER):
-            mid = np.array([0.5 * (a0 + b0), 0.5 * (a1 + b1)])
-            v0, v1 = sys.grad(mid).tolist()
+            m0, m1 = 0.5 * (a0 + b0), 0.5 * (a1 + b1)
+            v0, v1 = grad(m0, m1)
             r0 = b0 - a0 - dt * (0.0 - s * v1)
             r1 = b1 - a1 - dt * (0.0 + s * v0)
             bound = NEWTON_TOL * max(1.0, abs(b0), abs(b1))
             if abs(r0) < bound and abs(r1) < bound:  # a NaN is not converged
                 return np.array([b0, b1])
-            (h00, h01), (h10, h11) = sys.hess(mid).tolist()
+            h00, h01, h10, h11 = hess(m0, m1)
             Jac = [[1.0 - half * (0.0 - s * h10), 0.0 - half * (0.0 - s * h11)],
                    [0.0 - half * (0.0 + s * h00), 1.0 - half * (0.0 + s * h01)]]
             try:
-                with gesv_errstate():
-                    d0, d1 = gesv_vector(np.array(Jac), np.array([r0, r1])).tolist()
+                d0, d1 = _solve_2x2(np.array(Jac), np.array([r0, r1])).tolist()
             except np.linalg.LinAlgError:
                 raise StepFailureError("singular Newton system at t=%g" % t, t)
             b0, b1 = b0 - d0, b1 - d1
@@ -243,11 +274,19 @@ def _phase_point(sys: HamiltonianSystem, z) -> np.ndarray:
     return z
 
 
+def _step_count(span: float, dt: float, least: int) -> int:
+    """ceil(|span| / dt), at least ``least``; ParameterError above MAX_STEPS."""
+    steps = abs(span) / dt
+    if not steps <= MAX_STEPS:
+        raise ParameterError("%g / %g is more than %d steps" % (span, dt, MAX_STEPS))
+    return max(least, int(np.ceil(steps)))
+
+
 def integrate(sys: HamiltonianSystem, z0, T: float, dt: float) -> Trajectory:
-    """Implicit-midpoint trajectory from z0 over [0, T]."""
+    """Implicit-midpoint trajectory from z0 over [0, T], in at most MAX_STEPS steps."""
     if not (dt > 0 and np.isfinite(T)):
         raise ParameterError("need dt > 0 and finite T")
-    return _flow(sys, _phase_point(sys, z0), T, max(1, int(np.ceil(abs(T) / dt))))
+    return _flow(sys, _phase_point(sys, z0), T, _step_count(T, dt, 1))
 
 
 @dataclass
@@ -288,7 +327,7 @@ def _first_return(sys: HamiltonianSystem, z0: np.ndarray, normal: np.ndarray,
     Returns (return point, return time).
     """
     horizon = 1.6 * T_guess
-    steps = max(64, int(np.ceil(horizon / dt)))
+    steps = _step_count(horizon, dt, 64)
     h = horizon / steps
     J, eye = sys.J, np.eye(2 * sys.n)
 
@@ -346,7 +385,7 @@ def find_periodic_orbit(sys: HamiltonianSystem, z_guess, T_guess: float,
     dim = 2 * sys.n
     X0 = ham_vector_field(sys, z)
     if np.linalg.norm(X0) < 1e-10:
-        traj = _flow(sys, z, T_guess, max(64, int(np.ceil(T_guess / dt))))
+        traj = _flow(sys, z, T_guess, _step_count(T_guess, dt, 64))
         return PeriodicOrbit(z, float(T_guess), traj, 0.0)
 
     normal = X0 / np.linalg.norm(X0)
@@ -367,7 +406,7 @@ def find_periodic_orbit(sys: HamiltonianSystem, z_guess, T_guess: float,
         point = anchor + E @ y
         g, T = gap_of(point)
         if np.linalg.norm(g) < SHOOT_TOL:
-            traj = _flow(sys, point, T, max(64, int(np.ceil(T / dt))))
+            traj = _flow(sys, point, T, _step_count(T, dt, 64))
             return PeriodicOrbit(point, float(T), traj,
                                  float(np.linalg.norm(_offset(sys, traj.zs[-1], point)[0])))
         F = E.T @ g
@@ -401,7 +440,9 @@ def monodromy_and_cz(sys: HamiltonianSystem, orbit: PeriodicOrbit):
     """
     zs = orbit.trajectory.zs
     h = orbit.period / (len(zs) - 1)
-    Hs = np.array([sys.hess(mid) for mid in 0.5 * (zs[:-1] + zs[1:])])
+    mids = 0.5 * (zs[:-1] + zs[1:])
+    Hs = (np.array([sys._float_hess(x, y) for x, y in mids.tolist()]).reshape(-1, 2, 2)
+          if sys.n == 1 else np.array([sys.hess(mid) for mid in mids]))
     A = sys.J @ Hs
     try:
         mats = cayley_flow(A, h)

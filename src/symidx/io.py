@@ -259,9 +259,10 @@ def load_system(source) -> HamiltonianSystem:
     else:
         raise FileFormatError("hamiltonian must have 'builtin' or 'polynomial'")
     if doc["phase_space"] != sys.phase_space:
-        # allow overriding plane <-> cylinder for n = 1 systems
-        sys = HamiltonianSystem(sys.hamiltonian, sys.n, doc["phase_space"],
-                                sys.gradient, sys.hessian, sys.j_structure)
+        # allow overriding plane <-> cylinder for n = 1 systems; replace
+        # keeps the builtin's derivatives, float forms included
+        from dataclasses import replace
+        sys = replace(sys, phase_space=doc["phase_space"])
     return sys
 
 

@@ -1,11 +1,14 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from symidx.cli import main
+from symidx.hamdyn import HamiltonianSystem
 from symidx.io import dump_family, dump_path
 from symidx.splin import SymmetricFamily, rotation_path
+from test_golden import run_module
 from test_io import MALFORMED, malformed, valid_documents
 
 
@@ -46,6 +49,17 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def count_array_derivatives(monkeypatch) -> dict:
+    """Count calls of the array ``HamiltonianSystem.grad`` and ``hess``."""
+    calls = {"grad": 0, "hess": 0}
+    for name in calls:
+        def counted(self, z, name=name, original=getattr(HamiltonianSystem, name)):
+            calls[name] += 1
+            return original(self, z)
+        monkeypatch.setattr(HamiltonianSystem, name, counted)
+    return calls
 
 
 class TestIndexCommand:
@@ -428,6 +442,60 @@ class TestDynCommand:
         assert "Traceback" not in out
         err = json.loads(out)["error"]
         assert err["error"] == "parameter" and "coordinates" in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--T", "1", "--dt", "1e-300"],
+        ["integrate", "--T", "1e300", "--dt", "1e-3"],
+        ["orbit", "--T", "6", "--dt", "1e-300"],
+        ["monodromy", "--T", "6", "--dt", "1e-300"],
+    ])
+    def test_too_many_steps_is_parameter_error(self, harmonic_file, argv):
+        start = time.perf_counter()
+        proc = run_module(["dyn", *argv[:1], "--input", harmonic_file, "--z0", "1,0",
+                           *argv[1:]])
+        assert time.perf_counter() - start < 60
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        err = json.loads(proc.stdout)["error"]
+        assert err["error"] == "parameter" and "steps" in err["message"]
+
+    @pytest.mark.parametrize("builtin, native, other", [
+        ("pendulum", "cylinder", "plane"), ("harmonic", "plane", "cylinder")])
+    def test_phase_space_override_keeps_the_float_derivatives(
+            self, capsys, monkeypatch, tmp_path, builtin, native, other):
+        calls = count_array_derivatives(monkeypatch)
+        endpoints = []
+        for phase_space in (native, other):
+            f = tmp_path / (phase_space + ".json")
+            f.write_text(json.dumps({"phase_space": phase_space,
+                                     "hamiltonian": {"builtin": builtin}}))
+            code, out = run(capsys, ["dyn", "integrate", "--input", str(f),
+                                     "--z0=0.3,0.2", "--T", "1"])
+            assert code == 0
+            endpoints.append(json.loads(out)["result"]["endpoint"])
+        assert calls == {"grad": 0, "hess": 0}
+        assert np.asarray(endpoints[0]).tobytes() == np.asarray(endpoints[1]).tobytes()
+
+    @pytest.mark.parametrize("doc, z0, T", [
+        ({"phase_space": "plane", "hamiltonian": {"builtin": "harmonic"}}, "1.2,0.3", 6.0),
+        ({"phase_space": "cylinder", "hamiltonian": {"builtin": "pendulum"}}, "0.6,0.0", 1.1),
+        ({"phase_space": "cylinder", "j_convention": "canonical",
+          "hamiltonian": {"builtin": "pendulum", "parameters": {"scale": 0.05}}},
+         "0.0,0.0", 1.0),
+    ])
+    def test_builtins_step_on_their_float_derivatives(self, capsys, monkeypatch, tmp_path,
+                                                      doc, z0, T):
+        # thousands of midpoint steps per invocation, and a constant number
+        # of array gradient calls: the one X_H(z0) that shooting starts from
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps(doc))
+        calls = count_array_derivatives(monkeypatch)
+        for action, most in (("integrate", 0), ("orbit", 1), ("monodromy", 1)):
+            code, _ = run(capsys, ["dyn", action, "--input", str(f), "--z0", z0,
+                                   "--T", repr(T)])
+            assert code == 0
+            assert calls == {"grad": most, "hess": 0}, action
+            calls.update(grad=0, hess=0)
 
     def test_integrate_without_input_is_domain_error(self, capsys):
         code, out = run(capsys, ["dyn", "integrate", "--T", "1"])

@@ -112,6 +112,66 @@ class TestPhasePoint:
             find_periodic_orbit(make(), z0, 6.0, dt=1e-2)
 
 
+class TestStepBound:
+    """Flows longer than MAX_STEPS are refused before the first step."""
+
+    @pytest.mark.parametrize("T, dt", [(1.0, 1e-300), (1e300, 1e-3), (-1e300, 1e-3),
+                                       (1e308, 1e-300), (hamdyn.MAX_STEPS * 1.01, 1.0)])
+    def test_integrate(self, T, dt):
+        with pytest.raises(ParameterError, match="steps"):
+            integrate(harmonic_system(), [1.0, 0.0], T, dt)
+
+    def test_integrate_at_the_bound_is_allowed(self, monkeypatch):
+        monkeypatch.setattr(hamdyn, "MAX_STEPS", 100)
+        assert len(integrate(harmonic_system(), [1.0, 0.0], 1.0, 0.01).zs) == 101
+        with pytest.raises(ParameterError, match="steps"):
+            integrate(harmonic_system(), [1.0, 0.0], 1.0, 0.0099)
+
+    @pytest.mark.parametrize("make, z, T_guess, dt", [
+        (harmonic_system, [1.0, 0.0], 6.0, 1e-300),  # the first-return horizon
+        (harmonic_system, [1.0, 0.0], 1e308, 1e-3),  # 1.6 T_guess overflows
+        (pendulum_system, [0.0, 0.0], 1.0, 1e-300),  # an equilibrium's constant orbit
+    ])
+    def test_find_periodic_orbit(self, monkeypatch, make, z, T_guess, dt):
+        steps = []
+        monkeypatch.setattr(hamdyn, "_midpoint_step", lambda *args: steps.append(1))
+        with pytest.raises(ParameterError, match="steps"):
+            find_periodic_orbit(make(), z, T_guess, dt=dt)
+        assert steps == []
+
+
+class TestFloatDerivatives:
+    """The builtins' float derivatives have the bits of ``grad`` and ``hess``."""
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(25)
+        pts = [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 1.0), (0.5, -0.0),
+               (1e6, -1e6), (-1e6, 0.25), (0.25, 0.75)]
+        pts += [tuple(p) for p in rng.uniform(-1.0, 1.0, (40, 2)).tolist()]
+        pts += [tuple(p) for p in (rng.uniform(-1.0, 1.0, (40, 2))
+                                   * 10.0 ** rng.uniform(-8, 6, (40, 1))).tolist()]
+        return pts
+
+    @pytest.mark.parametrize("j_structure", ["standard", "canonical"])
+    @pytest.mark.parametrize("make", [
+        harmonic_system,
+        lambda j: pendulum_system(j, 1.0),
+        lambda j: pendulum_system(j, -0.7),
+        lambda j: pendulum_system(j, 0.05),
+    ])
+    def test_float_forms_match_array_forms(self, make, j_structure):
+        sys = make(j_structure)
+        assert sys._float_grad is sys.gradient._float_form
+        assert sys._float_hess is sys.hessian._float_form
+        for x, y in self.points():
+            z = np.array([x, y])
+            g, H = sys._float_grad(x, y), sys._float_hess(x, y)
+            assert all(type(v) is float for v in (*g, *H))
+            assert same_bits(g, sys.grad(z)), (x, y)
+            assert same_bits(H, sys.hess(z).ravel()), (x, y)
+
+
 class TestPeriodicOrbit:
     def test_harmonic_orbit(self):
         orbit = find_periodic_orbit(harmonic_system(), [1.1, 0.1], 6.0)
@@ -171,6 +231,24 @@ class TestPeriodicOrbit:
         _, T = hamdyn._first_return(sys, z0, normal, z0.copy(), 6.0, dt)
         assert abs(T - 2 * np.pi) < 1e-5
         assert len(steps) <= math.ceil(2 * np.pi / dt) + 64
+
+    @pytest.mark.parametrize("j_structure", ["standard", "canonical"])
+    def test_drifting_start_runs_the_newton_update(self, monkeypatch, j_structure):
+        # the return map of a 1-DOF flow is the identity up to discretisation
+        # error, so this orbit drifts in energy (ROADMAP item 4); only the
+        # update itself is asserted here: 2 first returns per Newton step
+        returns = []
+        first_return = hamdyn._first_return
+
+        def counted(*args):
+            returns.append(1)
+            return first_return(*args)
+
+        monkeypatch.setattr(hamdyn, "_first_return", counted)
+        orbit = find_periodic_orbit(pendulum_system(j_structure), [0.2, 3.0], 0.4)
+        assert len(returns) == 5
+        assert not np.array_equal(orbit.z0, [0.2, 3.0])
+        assert orbit.residual < 1e-7
 
     @pytest.mark.parametrize("T_guess, dt", [
         (6.0, 0.0), (6.0, -1e-3), (6.0, float("nan")), (6.0, float("inf")),
@@ -370,6 +448,8 @@ class TestKernelsBitForBit:
         (("pendulum", -0.7), [0.45, -0.0], 1.3),
         (("pendulum", 0.05), [0.0, 0.0], 1.0),
         (("pendulum", 1.0), [0.0, 3.0], 0.34),
+        # its first gap, 1.5e-8, is above SHOOT_TOL: the Newton update runs
+        (("pendulum", 1.0), [0.2, 3.0], 0.4),
     ])
     def test_orbits_and_monodromy(self, monkeypatch, j_structure, sys_args, z, T):
         if sys_args[0] == "harmonic":
